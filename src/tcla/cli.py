@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import linalg
@@ -97,6 +98,24 @@ def _check_nilp(nilp: int) -> int:
     return nilp
 
 
+def _check_at_least(flag: str, value: int, least: int) -> int:
+    if value < least:
+        raise InputError(f"{flag} must be >= {least}, got {value}")
+    return value
+
+
+def _threads() -> int:
+    """The worker cap from TCLA_THREADS (1 when unset)."""
+    text = os.environ.get("TCLA_THREADS", "1")
+    try:
+        workers = int(text)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise InputError(f"TCLA_THREADS must be a positive integer, got {text!r}")
+    return workers
+
+
 def _witness_label(base: Algebra, root: Root) -> str:
     if base.simple_generator_count == 1:
         return f"m={root.coords[0]}"
@@ -136,7 +155,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     alg = TruncatedAlgebra(base, _check_nilp(args.nilp))
     weight = _load_weight(args.lambda_file, base, alg.nilp)
     height = args.max_height if args.max_height is not None else default_scan_height(base)
-    verdict = criterion_reducible(weight, alg, height)
+    verdict = criterion_reducible(weight, alg, _check_at_least("--max-height", height, 1))
     if verdict.reducible:
         labels = ", ".join(_witness_label(base, w) for w in verdict.witnesses)
         noun = "witness" if len(verdict.witnesses) == 1 else "witnesses"
@@ -171,7 +190,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     base = _get_algebra(args.algebra)
     alg = TruncatedAlgebra(base, _check_nilp(args.nilp))
     weight = _load_weight(args.lambda_file, base, alg.nilp)
-    report = scan_reducible(weight, alg, args.max_height)
+    report = scan_reducible(weight, alg, _check_at_least("--max-height", args.max_height, 0))
     for rec in report.records:
         print(f"chi={rec.chi} dim={rec.dimension} det={format_rational(rec.det)}")
     if report.zero_found:
@@ -202,10 +221,10 @@ def _cmd_scan(args: argparse.Namespace) -> int:
 def _cmd_validate(args: argparse.Namespace) -> int:
     base = _get_algebra(args.algebra)
     _check_nilp(args.nilp)
-    if args.samples < 1:
-        raise InputError("samples must be >= 1")
+    _check_at_least("--samples", args.samples, 1)
     height = args.max_height if args.max_height is not None else default_scan_height(base)
-    report = cross_validate(base, args.nilp, args.samples, args.seed, height)
+    _check_at_least("--max-height", height, 1)
+    report = cross_validate(base, args.nilp, args.samples, args.seed, height, _threads())
     print(report.to_text())
     if args.json:
         _emit(report_json_bytes(report).decode("utf-8") + "\n", args.json)
@@ -213,6 +232,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_figure(args: argparse.Namespace) -> int:
+    _check_at_least("--m-max", args.m_max, 1)
     if args.which == "sl3":
         ls = sl3_hyperplanes()
     else:

@@ -307,7 +307,17 @@ class Algebra:
         return tuple(values)
 
     def dual_raising(self, alpha: Root, space_index: int) -> LinComb:
-        """The x in g^alpha with <x, y_b> = delta_{b, space_index}."""
+        """The x in g^alpha with <x, y_b> = delta_{b, space_index}.
+
+        Cached per instance (only valid arguments are ever stored): the
+        Shapovalov builder asks for the same few vectors once per raising
+        action.  The cache is created on first use because subclasses do
+        not call a common ``__init__``.
+        """
+        cache = self.__dict__.setdefault("_dual_raising", {})
+        hit = cache.get((alpha, space_index))
+        if hit is not None:
+            return hit
         self.check_positive_root(alpha)
         dim = self.root_space_dim(alpha)
         if not 0 <= space_index < dim:
@@ -317,11 +327,12 @@ class Algebra:
             p_inv = linalg.invert(p)
         except ValueError as exc:
             raise InvalidAlgebraError(f"{self.name}: singular pairing at {alpha} violates non-degeneracy") from exc
-        return LinComb(
+        dual = cache[(alpha, space_index)] = LinComb(
             (BaseElement.of_root(alpha, a), p_inv[space_index][a])
             for a in range(dim)
             if p_inv[space_index][a]
         )
+        return dual
 
     def element_label(self, x: BaseElement) -> str:
         """Human-readable name for a basis element; subclasses specialise."""

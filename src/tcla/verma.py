@@ -9,7 +9,8 @@ and raising generators annihilate v.
 
 Single-monomial actions are memoised per module instance (the results
 depend on the highest weight), which makes the repeated sweeps performed
-by the Shapovalov-matrix builder cheap.
+by the Shapovalov-matrix builder cheap; the module also holds that
+builder's cache of canonical matrices, so both die with it.
 """
 
 from __future__ import annotations
@@ -125,6 +126,8 @@ class VermaModule:
         self.alg = alg
         self.weight = weight
         self._memo: dict[tuple[CurrentElement, Monomial], Terms] = {}
+        # Canonical Shapovalov matrices by chi, filled by shapovalov._canonical.
+        self._matrices: dict[Root, tuple] = {}
 
     def highest_weight_vector(self) -> VermaVector:
         return VermaVector({(): _ONE})

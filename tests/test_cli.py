@@ -148,6 +148,43 @@ def test_chi_arity_exit_code(tmp_path, capsys):
     assert "coordinates" in capsys.readouterr().err
 
 
+def assert_input_error(capsys, code):
+    # exit 3 with one "error:" line and no traceback
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_scan_negative_height_exit_code(tmp_path, capsys):
+    lam = write_weight(tmp_path, SL2_WEIGHT)
+    code = main(["scan", "--algebra", "sl2", "--nilp", "1", "--lambda", lam, "--max-height", "-1"])
+    assert_input_error(capsys, code)
+
+
+def test_check_zero_height_exit_code(tmp_path, capsys):
+    lam = write_weight(tmp_path, SL2_WEIGHT)
+    code = main(["check", "--algebra", "sl2", "--nilp", "1", "--lambda", lam, "--max-height", "0"])
+    assert_input_error(capsys, code)
+
+
+def test_validate_zero_height_exit_code(capsys):
+    code = main(["validate", "--algebra", "sl2", "--nilp", "1", "--samples", "2",
+                 "--seed", "1", "--max-height", "0"])
+    assert_input_error(capsys, code)
+
+
+def test_figure_zero_m_max_exit_code(capsys):
+    code = main(["figure", "--which", "virasoro", "--m-max", "0", "--format", "csv", "--out", "-"])
+    assert_input_error(capsys, code)
+
+
+def test_bad_thread_count_exit_code(monkeypatch, capsys):
+    monkeypatch.setenv("TCLA_THREADS", "abc")
+    code = main(["validate", "--algebra", "sl2", "--nilp", "1", "--samples", "2",
+                 "--seed", "1", "--max-height", "1"])
+    assert_input_error(capsys, code)
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["check", "--algebra", "sl2"])  # missing required flags

@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 
+import pytest
 from helpers import lowering, rand_weight
 from tcla import (
     RescaledLowering,
@@ -14,6 +15,7 @@ from tcla import (
     ascend,
     enumerate_monomials,
     matrix_to_json,
+    positive_lattice_points,
     shapovalov_determinant,
     shapovalov_matrix,
 )
@@ -198,3 +200,83 @@ def test_matrix_json_schema():
         "entries": [["5", "3"], ["3", "0"]],
         "det": "-9",
     }
+
+
+def direct_matrix(m, chi, monos=None):
+    # One full ascent per entry: the definition the recursive builder must match.
+    monos = enumerate_monomials(chi, m.alg) if monos is None else monos
+    return [[ascend(m, col, m.descend(row)).coefficient(()) for col in monos] for row in monos]
+
+
+def top_zero(rng, base, nilp):
+    levels = [list(level) for level in rand_weight(rng, base, nilp).levels]
+    levels[-1] = [Fraction(0)] * base.cartan_rank
+    return WeightFunctional(levels)
+
+
+@pytest.mark.parametrize("nilp", (1, 2))
+@pytest.mark.parametrize("name", ("sl2", "sl3", "sl4", "virasoro", "oscillator"))
+def test_recursive_matrix_equals_direct_ascents(name, nilp):
+    rng = random.Random(f"oracle:{name}:{nilp}")
+    base = algebra(name)
+    alg = TruncatedAlgebra(base, nilp)
+    height = 2 if name == "sl4" else 3
+    for weight in (rand_weight(rng, base, nilp), top_zero(rng, base, nilp)):
+        m = VermaModule(alg, weight)
+        for chi in positive_lattice_points(base.simple_generator_count, height):
+            assert shapovalov_matrix(m, chi).entries == direct_matrix(m, chi)
+
+
+def test_recursive_matrix_on_rescaled_lowering():
+    rng = random.Random("oracle:rescaled")
+    base = algebra("sl3")
+    scales = {}
+    scaled = RescaledLowering(
+        base, lambda alpha, idx: scales.setdefault((alpha, idx), Fraction(rng.randint(1, 9), rng.randint(1, 5)))
+    )
+    m = VermaModule(TruncatedAlgebra(scaled, 2), rand_weight(rng, base, 2))
+    for chi in positive_lattice_points(2, 3):
+        assert shapovalov_matrix(m, chi).entries == direct_matrix(m, chi)
+
+
+def test_single_chi_on_a_fresh_module():
+    # No earlier scan: the smaller matrices are filled on demand.
+    rng = random.Random("oracle:cold")
+    alg = TruncatedAlgebra(algebra("virasoro"), 1)
+    weight = rand_weight(rng, alg.base, 1)
+    chi = Root((4,))
+    expected = direct_matrix(VermaModule(alg, weight), chi)
+    assert shapovalov_matrix(VermaModule(alg, weight), chi).entries == expected
+
+
+def test_returned_matrix_is_a_copy_of_the_cache():
+    m = sl2_module()
+    first = shapovalov_matrix(m, ALPHA)
+    first.entries[0][0] = 99
+    first.monomials.reverse()
+    again = shapovalov_matrix(m, ALPHA)
+    assert again.entries == [[5, 3], [3, 0]]
+    assert again.monomials == enumerate_monomials(ALPHA, m.alg)
+
+
+def test_shuffled_override_equals_direct_ascents():
+    rng = random.Random("oracle:override")
+    base = algebra("sl3")
+    alg = TruncatedAlgebra(base, 2)
+    m = VermaModule(alg, rand_weight(rng, base, 2))
+    chi = Root((2, 1))
+    monos = enumerate_monomials(chi, alg)
+    rng.shuffle(monos)
+    mat = shapovalov_matrix(m, chi, monomials=monos)
+    assert mat.monomials == monos
+    assert mat.entries == direct_matrix(m, chi, monos)
+
+
+def test_override_that_is_not_a_reordering_raises():
+    m = sl2_module()
+    monos = enumerate_monomials(Root((2,)), m.alg)
+    unsorted = [monos[0], monos[1][::-1], *monos[2:]]  # (f@1 f@0) is not canonical
+    for bad in (monos[:-1], monos + monos[:1], monos[:-1] + monos[:1], unsorted,
+                enumerate_monomials(ALPHA, m.alg)):
+        with pytest.raises(ValueError):
+            shapovalov_matrix(m, Root((2,)), monomials=bad)
