@@ -24,7 +24,7 @@ from .errors import (
     UnknownAlgebraError,
     UnknownElementError,
 )
-from .figures import LineSet, render, render_csv, render_svg, sl3_hyperplanes, virasoro_lines
+from .figures import LineSet, render_csv, render_svg, sl3_hyperplanes, virasoro_lines
 from .lie_core import (
     BUILTIN_ALGEBRAS,
     Algebra,
@@ -36,14 +36,12 @@ from .lie_core import (
     SpecialLinear,
     VirasoroAlgebra,
     algebra,
-    enumerate_positive_roots,
 )
 from .shapovalov import ShapovalovMatrix, ascend, matrix_to_json, shapovalov_determinant, shapovalov_matrix
-from .verma import VermaModule, VermaVector
+from .verma import VermaModule
 from .weights import (
     Monomial,
     WeightFunctional,
-    canonical_monomial,
     enumerate_monomials,
     format_monomial,
     monomial_weight,
@@ -76,22 +74,18 @@ __all__ = [
     "ValidationReport",
     "Verdict",
     "VermaModule",
-    "VermaVector",
     "VirasoroAlgebra",
     "WeightFunctional",
     "algebra",
     "ascend",
-    "canonical_monomial",
     "criterion_reducible",
     "cross_validate",
     "default_scan_height",
     "enumerate_monomials",
-    "enumerate_positive_roots",
     "format_monomial",
     "matrix_to_json",
     "monomial_weight",
     "positive_lattice_points",
-    "render",
     "render_csv",
     "render_svg",
     "scan_reducible",

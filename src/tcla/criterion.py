@@ -2,13 +2,14 @@
 
 The criterion evaluates the top component of the weight functional on the
 coroot of each positive root; the module is reducible exactly when some
-coroot is annihilated.  For sl(n) the full finite root list is always
-used.  For the Virasoro algebra the witness condition
-2m x + (m^3 - m)/12 y = 0 is solved exactly over the nonzero integers, and
-for the oscillator algebra it degenerates to the single central test
-y = 0, so the boolean verdict is exact for every built-in; only the
-*listing* of witnesses is height-truncated when all positive roots
-qualify at once.
+coroot is annihilated.  Each algebra lists those roots itself through
+``Algebra.coroot_zeros``: sl(n) scans its full finite root list, the
+Virasoro algebra solves 2m x + (m^3 - m)/12 y = 0 exactly over the
+nonzero integers, and the oscillator algebra reduces to the single
+central test y = 0.  So the boolean verdict is exact for every built-in;
+only the *listing* of witnesses is height-truncated when all positive
+roots qualify at once.  Any other infinite algebra falls back to the
+generic coroot scan up to the height bound.
 
 The scan side computes exact Shapovalov determinants for every weight
 drop up to a height bound, and the cross-validation harness compares the
@@ -23,10 +24,9 @@ import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import isqrt
 
 from .current import TruncatedAlgebra
-from .lie_core import Algebra, OscillatorAlgebra, Root, VirasoroAlgebra, algebra
+from .lie_core import Algebra, Root, algebra
 from .rationals import format_rational
 from .shapovalov import shapovalov_matrix
 from . import linalg
@@ -73,37 +73,6 @@ def default_scan_height(base: Algebra) -> int:
     return 2 if base.finite_roots else 4
 
 
-def _virasoro_witnesses(x: Fraction, y: Fraction, max_height: int) -> tuple[list[Root], int | None]:
-    # Solve 2m x + (m^3 - m)/12 y = 0 over integers m >= 1 (the condition is
-    # odd in m, so negative solutions mirror positive ones).
-    if x == 0 and y == 0:
-        return [Root((m,)) for m in range(1, max_height + 1)], max_height
-    if y == 0:
-        return [], None
-    q = 1 - 24 * x / y  # m^2 for any nonzero root of the cubic
-    if q.denominator == 1 and q >= 1:
-        m = isqrt(q.numerator)
-        if m * m == q.numerator:
-            return [Root((m,))], None
-    return [], None
-
-
-def _coroot_zeros(base: Algebra, top: tuple[Fraction, ...], max_height: int) -> tuple[list[Root], int | None]:
-    if isinstance(base, VirasoroAlgebra):
-        return _virasoro_witnesses(top[0], top[1], max_height)
-    if isinstance(base, OscillatorAlgebra):
-        if top[1] == 0:
-            return [Root((m,)) for m in range(1, max_height + 1)], max_height
-        return [], None
-    bound = None if base.finite_roots else max_height
-    witnesses = [
-        root
-        for root, _dim in base.positive_roots(bound)
-        if sum(c * v for c, v in zip(base.coroot(root), top)) == 0
-    ]
-    return witnesses, bound
-
-
 def criterion_reducible(
     weight: WeightFunctional,
     alg: TruncatedAlgebra,
@@ -117,7 +86,7 @@ def criterion_reducible(
     if weight.nilp != alg.nilp or weight.cartan_rank != alg.base.cartan_rank:
         raise ValueError("weight shape does not match the algebra")
     top = weight.level(alg.nilp)
-    witnesses, scanned = _coroot_zeros(alg.base, top, max_root_height)
+    witnesses, scanned = alg.base.coroot_zeros(top, max_root_height)
     return Verdict(reducible=bool(witnesses), witnesses=witnesses, scanned_height=scanned)
 
 

@@ -48,11 +48,6 @@ class TruncatedAlgebra:
                 f"t-degree {x.degree} out of range 0..{self.nilp} for {self.base.name}"
             )
 
-    def element(self, elem: BaseElement, degree: int) -> CurrentElement:
-        x = CurrentElement(elem, degree)
-        self.check(x)
-        return x
-
     def bracket(self, x: CurrentElement, y: CurrentElement) -> LinComb:
         """[a (x) t^i, b (x) t^j] = [a, b] (x) t^(i+j), zero when i+j > N."""
         self.check(x)

@@ -120,14 +120,3 @@ def render_svg(ls: LineSet) -> str:
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
-
-def render(ls: LineSet, fmt: str, path: str) -> None:
-    """Write the arrangement to ``path`` as "csv" or "svg"."""
-    if fmt == "csv":
-        text = render_csv(ls)
-    elif fmt == "svg":
-        text = render_svg(ls)
-    else:
-        raise ValueError(f"unknown figure format {fmt!r} (expected csv or svg)")
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(text)

@@ -43,6 +43,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt
 from typing import Callable, Iterable, Iterator
 
 from . import linalg
@@ -53,7 +54,6 @@ from .errors import (
     UnknownElementError,
 )
 
-Rat = Fraction
 CartanVector = tuple[Fraction, ...]
 
 
@@ -135,7 +135,14 @@ class BaseElement:
 
 
 class LinComb:
-    """Sparse exact-rational linear combination of hashable basis keys."""
+    """Sparse exact-rational linear combination of hashable keys.
+
+    The library's one combination type: algebra elements are combinations
+    of basis elements, and Verma-module vectors are combinations of PBW
+    monomials (each standing for that monomial applied to the
+    highest-weight vector).  Never stores a zero coefficient, and every
+    coefficient is a Fraction.
+    """
 
     __slots__ = ("_terms",)
 
@@ -149,6 +156,14 @@ class LinComb:
             elif key in acc:
                 del acc[key]
         self._terms = acc
+
+    @classmethod
+    def wrap(cls, terms: dict) -> "LinComb":
+        """Adopt ``terms`` without copying or normalising it: the caller
+        guarantees Fraction coefficients, none of them zero."""
+        out = cls.__new__(cls)
+        out._terms = terms
+        return out
 
     @staticmethod
     def term(key, coeff=1) -> "LinComb":
@@ -181,19 +196,19 @@ class LinComb:
                 out[key] = c
             elif key in out:
                 del out[key]
-        return LinComb(out)
+        return LinComb.wrap(out)
 
     def __sub__(self, other: "LinComb") -> "LinComb":
         return self + (-other)
 
     def __neg__(self) -> "LinComb":
-        return LinComb({k: -c for k, c in self._terms.items()})
+        return LinComb.wrap({k: -c for k, c in self._terms.items()})
 
     def __mul__(self, scalar) -> "LinComb":
         s = Fraction(scalar)
         if not s:
             return LinComb()
-        return LinComb({k: s * c for k, c in self._terms.items()})
+        return LinComb.wrap({k: s * c for k, c in self._terms.items()})
 
     __rmul__ = __mul__
 
@@ -212,7 +227,7 @@ class LinComb:
                 out[new] = c
             elif new in out:
                 del out[new]
-        return LinComb(out)
+        return LinComb.wrap(out)
 
     def __repr__(self) -> str:
         if not self._terms:
@@ -334,21 +349,25 @@ class Algebra:
         )
         return dual
 
-    def element_label(self, x: BaseElement) -> str:
-        """Human-readable name for a basis element; subclasses specialise."""
-        if x.root is None:
-            return self.cartan_names[x.index]
-        return str(x)
+    def coroot_zeros(self, top: CartanVector, max_height: int) -> tuple[list[Root], int | None]:
+        """Positive roots whose coroot the Cartan functional ``top`` kills,
+        with the height bound of that listing (None when it is exhaustive).
+
+        Generic: evaluate ``top`` on each coroot of the catalog, all of it
+        for a finite root system and up to ``max_height`` otherwise.
+        Algebras whose coroots have a closed form override this with an
+        exact solve, so their verdict does not depend on the bound.
+        """
+        bound = None if self.finite_roots else max_height
+        witnesses = [
+            root
+            for root, _dim in self.positive_roots(bound)
+            if sum(c * v for c, v in zip(self.coroot(root), top)) == 0
+        ]
+        return witnesses, bound
 
     def __repr__(self) -> str:
         return f"<algebra {self.name}>"
-
-
-def enumerate_positive_roots(alg: Algebra, max_height: int) -> list[tuple[Root, int]]:
-    """Positive roots of height <= max_height with their space dimensions."""
-    if max_height < 0:
-        raise ValueError("max_height must be >= 0")
-    return alg.positive_roots(max_height)
 
 
 class SpecialLinear(Algebra):
@@ -445,16 +464,6 @@ class SpecialLinear(Algebra):
         # E_ii - E_jj expands over the h_k with the root's own coordinates.
         return tuple(Fraction(c) for c in alpha.coords)
 
-    def element_label(self, x: BaseElement) -> str:
-        if x.root is None:
-            return self.cartan_names[x.index]
-        pair = self._root_to_pair(x.root)
-        assert pair is not None
-        i, j = pair
-        if i < j:
-            return "e(" + ",".join(str(c) for c in x.root.coords) + ")"
-        return "f(" + ",".join(str(c) for c in (-x.root).coords) + ")"
-
 
 class VirasoroAlgebra(Algebra):
     """The Virasoro algebra: L_m (m integer) plus a central charge element."""
@@ -510,9 +519,20 @@ class VirasoroAlgebra(Algebra):
         m = alpha.coords[0]
         return (Fraction(2 * m), Fraction(m**3 - m, 12))
 
-    def element_label(self, x: BaseElement) -> str:
-        kind, m = self._mode(x)
-        return "c" if kind == "c" else f"L{m}"
+    def coroot_zeros(self, top: CartanVector, max_height: int) -> tuple[list[Root], int | None]:
+        # Solve 2m x + (m^3 - m)/12 y = 0 over integers m >= 1 (the condition is
+        # odd in m, so negative solutions mirror positive ones).
+        x, y = top
+        if x == 0 and y == 0:
+            return [Root((m,)) for m in range(1, max_height + 1)], max_height
+        if y == 0:
+            return [], None
+        q = 1 - 24 * x / y  # m^2 for any nonzero root of the cubic
+        if q.denominator == 1 and q >= 1:
+            m = isqrt(q.numerator)
+            if m * m == q.numerator:
+                return [Root((m,))], None
+        return [], None
 
 
 class OscillatorAlgebra(Algebra):
@@ -569,10 +589,11 @@ class OscillatorAlgebra(Algebra):
         self.check_positive_root(alpha)
         return (Fraction(0), Fraction(1))
 
-    def element_label(self, x: BaseElement) -> str:
-        if x.root is not None:
-            return f"a{x.root.coords[0]}"
-        return self.cartan_names[x.index]
+    def coroot_zeros(self, top: CartanVector, max_height: int) -> tuple[list[Root], int | None]:
+        # Every coroot is hbar: all positive roots qualify, or none does.
+        if top[1] == 0:
+            return [Root((m,)) for m in range(1, max_height + 1)], max_height
+        return [], None
 
 
 class RescaledLowering(Algebra):
@@ -621,9 +642,6 @@ class RescaledLowering(Algebra):
 
     def coroot(self, alpha: Root) -> CartanVector:
         return self.base.coroot(alpha)
-
-    def element_label(self, x: BaseElement) -> str:
-        return self.base.element_label(x)
 
 
 BUILTIN_ALGEBRAS = ("sl2", "sl3", "sl4", "virasoro", "oscillator")

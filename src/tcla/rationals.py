@@ -10,8 +10,6 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-Rat = Fraction
-
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
 
 

@@ -28,10 +28,10 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import linalg
-from .lie_core import Root
+from .lie_core import LinComb, Root
 from .current import CurrentElement
 from .rationals import format_rational
-from .verma import VermaModule, VermaVector
+from .verma import VermaModule
 from .weights import Monomial, enumerate_monomials, format_monomial
 
 _ZERO = Fraction(0)
@@ -51,7 +51,7 @@ class ShapovalovMatrix:
         return len(self.monomials)
 
 
-def ascend(module: VermaModule, path: Monomial, v: VermaVector) -> VermaVector:
+def ascend(module: VermaModule, path: Monomial, v: LinComb) -> LinComb:
     """Apply the upward path dual to ``path``.
 
     The ascent retraces the descent step by step: the descent applies the
@@ -70,7 +70,7 @@ def ascend(module: VermaModule, path: Monomial, v: VermaVector) -> VermaVector:
     for f in path:
         assert f.elem.root is not None
         dual = base.dual_raising(-f.elem.root, f.elem.index)
-        acc = VermaVector()
+        acc = LinComb()
         for be, coeff in dual.items():
             acc = acc + coeff * module.act(CurrentElement(be, f.degree), v)
         v = acc

@@ -1,11 +1,11 @@
 """The Verma-module engine.
 
-Vectors are sparse rational combinations of PBW monomials applied to the
-highest-weight vector.  The action of an arbitrary generator is computed
-by straightening: x . (f0 f1 ... fk) v is rewritten through
-x f0 = f0 x + [x, f0] until every product is a canonically ordered
-monomial, Cartan generators evaluate through the weight functional on v,
-and raising generators annihilate v.
+Vectors are ``LinComb``s keyed by PBW monomials, each monomial standing
+for its product applied to the highest-weight vector.  The action of an
+arbitrary generator is computed by straightening: x . (f0 f1 ... fk) v is
+rewritten through x f0 = f0 x + [x, f0] until every product is a
+canonically ordered monomial, Cartan generators evaluate through the
+weight functional on v, and raising generators annihilate v.
 
 Single-monomial actions are memoised per module instance (the results
 depend on the highest weight), which makes the repeated sweeps performed
@@ -16,98 +16,14 @@ builder's cache of canonical matrices, so both die with it.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable
 
 from .current import CurrentElement, TruncatedAlgebra
-from .lie_core import Root
-from .weights import Monomial, WeightFunctional, factor_key, format_monomial, monomial_weight
+from .lie_core import LinComb, Root
+from .weights import Monomial, WeightFunctional, factor_key
 
 _ONE = Fraction(1)
 
 Terms = dict[Monomial, Fraction]
-
-
-class VermaVector:
-    """Exact linear combination of PBW monomials (times the highest-weight
-    vector).  Never stores zero coefficients."""
-
-    __slots__ = ("_terms",)
-
-    def __init__(self, terms: Terms | Iterable = ()) -> None:
-        acc: Terms = {}
-        items = terms.items() if hasattr(terms, "items") else terms
-        for mono, coeff in items:
-            c = acc.get(mono, Fraction(0)) + Fraction(coeff)
-            if c:
-                acc[mono] = c
-            elif mono in acc:
-                del acc[mono]
-        self._terms = acc
-
-    def items(self):
-        return iter(self._terms.items())
-
-    def monomials(self) -> list[Monomial]:
-        return list(self._terms.keys())
-
-    def coefficient(self, mono: Monomial) -> Fraction:
-        return self._terms.get(mono, Fraction(0))
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
-    def __len__(self) -> int:
-        return len(self._terms)
-
-    def __add__(self, other: "VermaVector") -> "VermaVector":
-        out = dict(self._terms)
-        for mono, coeff in other._terms.items():
-            c = out.get(mono, Fraction(0)) + coeff
-            if c:
-                out[mono] = c
-            elif mono in out:
-                del out[mono]
-        return VermaVector(out)
-
-    def __sub__(self, other: "VermaVector") -> "VermaVector":
-        return self + (-other)
-
-    def __neg__(self) -> "VermaVector":
-        return VermaVector({m: -c for m, c in self._terms.items()})
-
-    def __mul__(self, scalar) -> "VermaVector":
-        s = Fraction(scalar)
-        if not s:
-            return VermaVector()
-        return VermaVector({m: s * c for m, c in self._terms.items()})
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, VermaVector) and self._terms == other._terms
-
-    def weights(self, generators: int) -> set[Root]:
-        return {monomial_weight(m, generators) for m in self._terms}
-
-    def __repr__(self) -> str:
-        if not self._terms:
-            return "0"
-        bits = [
-            f"{c} * {format_monomial(m)}"
-            for m, c in sorted(self._terms.items(), key=lambda t: tuple(map(factor_key, t[0])))
-        ]
-        return " + ".join(bits)
-
-
-def _part(x: CurrentElement) -> str:
-    root = x.elem.root
-    if root is None:
-        return "cartan"
-    return "raising" if root.is_positive else "lowering"
 
 
 class VermaModule:
@@ -129,12 +45,12 @@ class VermaModule:
         # Canonical Shapovalov matrices by chi, filled by shapovalov._canonical.
         self._matrices: dict[Root, tuple] = {}
 
-    def highest_weight_vector(self) -> VermaVector:
-        return VermaVector({(): _ONE})
+    def highest_weight_vector(self) -> LinComb:
+        return LinComb.wrap({(): _ONE})
 
     # -- public action -------------------------------------------------------
 
-    def act(self, x: CurrentElement, v: VermaVector) -> VermaVector:
+    def act(self, x: CurrentElement, v: LinComb) -> LinComb:
         """x . v for any generator x, straightened to the PBW basis."""
         self.alg.check(x)
         out: Terms = {}
@@ -145,32 +61,15 @@ class VermaModule:
                     out[m2] = c
                 elif m2 in out:
                     del out[m2]
-        return VermaVector(out)
+        return LinComb.wrap(out)
 
-    def apply_lowering(self, f: CurrentElement, v: VermaVector) -> VermaVector:
-        if _part(f) != "lowering":
-            raise ValueError(f"{f} is not a lowering generator")
-        return self.act(f, v)
-
-    def apply_cartan(self, h: CurrentElement, v: VermaVector) -> VermaVector:
-        if _part(h) != "cartan":
-            raise ValueError(f"{h} is not a Cartan generator")
-        return self.act(h, v)
-
-    def apply_raising(self, e: CurrentElement, v: VermaVector) -> VermaVector:
-        if _part(e) != "raising":
-            raise ValueError(f"{e} is not a raising generator")
-        return self.act(e, v)
-
-    def act_word(self, word: Iterable[CurrentElement], v: VermaVector) -> VermaVector:
-        """Apply a product of generators, rightmost factor first."""
-        for x in reversed(list(word)):
+    def descend(self, mono: Monomial) -> LinComb:
+        """The basis vector mono . v_highest (a single canonical monomial),
+        built by acting with its factors, rightmost first."""
+        v = self.highest_weight_vector()
+        for x in reversed(mono):
             v = self.act(x, v)
         return v
-
-    def descend(self, mono: Monomial) -> VermaVector:
-        """The basis vector mono . v_highest (a single canonical monomial)."""
-        return self.act_word(mono, self.highest_weight_vector())
 
     # -- straightening core ----------------------------------------------------
 

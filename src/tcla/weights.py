@@ -76,14 +76,6 @@ class WeightFunctional:
             levels.append([Fraction(d.get(name, 0)) for name in base.cartan_names])
         return cls(levels)
 
-    def to_named(self, base: Algebra) -> list[dict[str, str]]:
-        from .rationals import format_rational
-
-        return [
-            {name: format_rational(v) for name, v in zip(base.cartan_names, level)}
-            for level in self.levels
-        ]
-
     def __eq__(self, other) -> bool:
         return isinstance(other, WeightFunctional) and self.levels == other.levels
 
@@ -98,10 +90,6 @@ def factor_key(x: CurrentElement) -> tuple:
     assert root is not None
     pos = -root
     return (pos.height, tuple(-c for c in pos.coords), x.elem.index, x.degree)
-
-
-def canonical_monomial(factors: Iterable[CurrentElement]) -> Monomial:
-    return tuple(sorted(factors, key=factor_key))
 
 
 def monomial_weight(mono: Monomial, generators: int) -> Root:

@@ -13,8 +13,8 @@ from tcla import (
     Root,
     TruncatedAlgebra,
     VermaModule,
-    VermaVector,
     WeightFunctional,
+    monomial_weight,
 )
 
 
@@ -59,19 +59,24 @@ def rand_vector(
     module: VermaModule,
     max_factors: int = 3,
     max_root_height: int = 2,
-) -> VermaVector:
+) -> LinComb:
     """Random small vector built by lowering words from the highest-weight vector."""
     base = module.alg.base
     roots = [r for r, _ in base.positive_roots(max_root_height)]
-    v = VermaVector()
+    v = LinComb()
     for _ in range(rng.randint(1, 2)):
         w = module.highest_weight_vector()
         for _ in range(rng.randint(0, max_factors)):
-            w = module.apply_lowering(
+            w = module.act(
                 lowering(base, rng.choice(roots), rng.randint(0, module.alg.nilp)), w
             )
         v = v + rat(rng) * w
     return v
+
+
+def vector_weights(v: LinComb, generators: int) -> set[Root]:
+    """The weight drops of the monomials a Verma-module vector involves."""
+    return {monomial_weight(mono, generators) for mono in v.keys()}
 
 
 def bracket_ext(base: Algebra, x: LinComb, y: LinComb) -> LinComb:

@@ -27,7 +27,6 @@ from tcla import (
     Root,
     TruncatedAlgebra,
     VermaModule,
-    VermaVector,
     WeightFunctional,
     algebra,
     criterion_reducible,
@@ -174,7 +173,7 @@ def test_criterion_6_module_axiom(name):
         x, y = rand_generator(rng, alg), rand_generator(rng, alg)
         v = rand_vector(rng, module)
         lhs = module.act(x, module.act(y, v)) - module.act(y, module.act(x, v))
-        rhs = VermaVector()
+        rhs = LinComb()
         for z, c in alg.bracket(x, y).items():
             rhs = rhs + c * module.act(z, v)
         assert lhs == rhs, (x, y, v)

@@ -185,6 +185,20 @@ def test_bad_thread_count_exit_code(monkeypatch, capsys):
     assert_input_error(capsys, code)
 
 
+def test_figure_out_into_missing_directory_exit_code(tmp_path, capsys):
+    out = tmp_path / "missing" / "x.csv"
+    code = main(["figure", "--which", "sl3", "--format", "csv", "--out", str(out)])
+    assert_input_error(capsys, code)
+
+
+def test_scan_json_into_missing_directory_exit_code(tmp_path, capsys):
+    lam = write_weight(tmp_path, SL2_WEIGHT)
+    out = tmp_path / "missing" / "scan.json"
+    code = main(["scan", "--algebra", "sl2", "--nilp", "1", "--lambda", lam,
+                 "--max-height", "1", "--json", str(out)])
+    assert_input_error(capsys, code)
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["check", "--algebra", "sl2"])  # missing required flags

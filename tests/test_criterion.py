@@ -6,8 +6,10 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import rand_weight
+from helpers import rand_weight, rat
 from tcla import (
+    Algebra,
+    RescaledLowering,
     Root,
     TruncatedAlgebra,
     WeightFunctional,
@@ -84,6 +86,38 @@ def test_oscillator_central_test():
     w2 = WeightFunctional([(1, 0), (2, 0), (3, Fraction(1, 6))])
     v2 = criterion_reducible(w2, alg, 3)
     assert not v2.reducible and v2.scanned_height is None
+
+
+@pytest.mark.parametrize("name", ["virasoro", "oscillator"])
+def test_closed_form_coroot_zeros_match_generic_scan(name):
+    # The exact solvers must list, up to the scan height, exactly the roots
+    # the generic coroot scan finds.
+    base = algebra(name)
+    rng = random.Random("coroot-oracle:" + name)
+    height = 8
+    tops = [(Fraction(0), Fraction(0))]
+    tops += [(rat(rng), rat(rng)) for _ in range(60)]
+    for m in range(1, 7):
+        # x = -(m^2 - 1) y / 24 puts m on the Virasoro cubic.
+        y = Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 4))
+        tops.append((-(m * m - 1) * y / 24, y))
+    for top in tops:
+        closed, _ = base.coroot_zeros(top, height)
+        generic, bound = Algebra.coroot_zeros(base, top, height)
+        assert bound == height
+        assert [root for root in closed if root.height <= height] == generic, top
+
+
+def test_rescaled_virasoro_uses_the_generic_scan():
+    base = RescaledLowering(algebra("virasoro"), lambda alpha, b: Fraction(alpha.height + 1))
+    alg = TruncatedAlgebra(base, 1)
+    for top in [(1, -8), (5, 0), (0, 0), (-2, 1), (0, 3)]:
+        w = WeightFunctional([(0, 0), top])
+        verdict = criterion_reducible(w, alg, 4)
+        witnesses, _ = Algebra.coroot_zeros(base, w.level(1), 4)
+        assert verdict.witnesses == witnesses
+        assert verdict.reducible == bool(witnesses)
+        assert verdict.scanned_height == 4
 
 
 def test_witness_soundness():

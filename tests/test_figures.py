@@ -13,7 +13,6 @@ from tcla import (
     WeightFunctional,
     algebra,
     criterion_reducible,
-    render,
     render_csv,
     render_svg,
     sl3_hyperplanes,
@@ -111,17 +110,6 @@ def test_csv_content():
     assert rows[0] == "label,n1,n2"
     assert len(rows) == 5
     assert rows[2] == "m=2,1/2,4"
-
-
-def test_render_writes_files(tmp_path):
-    out_csv = tmp_path / "arrangement.csv"
-    render(sl3_hyperplanes(), "csv", str(out_csv))
-    assert out_csv.read_text(encoding="utf-8") == render_csv(sl3_hyperplanes())
-    out_svg = tmp_path / "arrangement.svg"
-    render(virasoro_lines(2), "svg", str(out_svg))
-    assert out_svg.read_text(encoding="utf-8") == render_svg(virasoro_lines(2))
-    with pytest.raises(ValueError):
-        render(sl3_hyperplanes(), "pdf", str(tmp_path / "x.pdf"))
 
 
 def test_rendering_is_deterministic():

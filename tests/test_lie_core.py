@@ -18,7 +18,6 @@ from tcla import (
     UnknownAlgebraError,
     UnknownElementError,
     algebra,
-    enumerate_positive_roots,
 )
 
 SL2 = algebra("sl2")
@@ -101,13 +100,13 @@ def test_dual_raising_is_pairing_dual():
 
 
 def test_enumerate_positive_roots_examples():
-    assert enumerate_positive_roots(SL2, 3) == [(Root((1,)), 1)]
-    assert enumerate_positive_roots(SL3, 2) == [
+    assert SL2.positive_roots(3) == [(Root((1,)), 1)]
+    assert SL3.positive_roots(2) == [
         (Root((1, 0)), 1),
         (Root((0, 1)), 1),
         (Root((1, 1)), 1),
     ]
-    assert enumerate_positive_roots(VIR, 3) == [
+    assert VIR.positive_roots(3) == [
         (Root((1,)), 1),
         (Root((2,)), 1),
         (Root((3,)), 1),

@@ -1,0 +1,34 @@
+"""The package's public surface: every exported name resolves, once, and
+the API removed as unused stays removed."""
+
+import tcla
+from tcla import TruncatedAlgebra, VermaModule, WeightFunctional, lie_core, rationals
+
+REMOVED_EXPORTS = ("VermaVector", "canonical_monomial", "enumerate_positive_roots", "render", "Rat")
+REMOVED_ATTRIBUTES = [
+    (tcla.Algebra, "element_label"),
+    (TruncatedAlgebra, "element"),
+    (WeightFunctional, "to_named"),
+    (VermaModule, "apply_lowering"),
+    (VermaModule, "apply_cartan"),
+    (VermaModule, "apply_raising"),
+    (VermaModule, "act_word"),
+    (lie_core, "Rat"),
+    (rationals, "Rat"),
+]
+
+
+def test_every_export_resolves_once():
+    assert len(tcla.__all__) == len(set(tcla.__all__))
+    namespace: dict = {}
+    exec("from tcla import *", namespace)
+    for name in tcla.__all__:
+        assert name in namespace, name
+
+
+def test_removed_names_stay_removed():
+    for name in REMOVED_EXPORTS:
+        assert name not in tcla.__all__
+        assert not hasattr(tcla, name), name
+    for owner, name in REMOVED_ATTRIBUTES:
+        assert not hasattr(owner, name), (owner, name)

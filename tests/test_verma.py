@@ -5,13 +5,22 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import cartan, lowering, raising, rand_generator, rand_vector, rand_weight, rat
+from helpers import (
+    cartan,
+    lowering,
+    raising,
+    rand_generator,
+    rand_vector,
+    rand_weight,
+    rat,
+    vector_weights,
+)
 from tcla import (
     BUILTIN_ALGEBRAS,
+    LinComb,
     Root,
     TruncatedAlgebra,
     VermaModule,
-    VermaVector,
     WeightFunctional,
     algebra,
 )
@@ -27,8 +36,8 @@ def sl2_module(levels=((5,), (3,))):
 def test_highest_weight_vector():
     m = sl2_module()
     v = m.highest_weight_vector()
-    assert v == VermaVector({(): 1})
-    assert v.weights(1) == {Root((0,))}
+    assert v == LinComb({(): 1})
+    assert vector_weights(v, 1) == {Root((0,))}
 
 
 def test_raising_kills_highest_weight_vector():
@@ -39,17 +48,17 @@ def test_raising_kills_highest_weight_vector():
         v = m.highest_weight_vector()
         for root, _dim in base.positive_roots(3):
             for deg in range(3):
-                assert m.apply_raising(raising(base, root, deg), v).is_zero
+                assert m.act(raising(base, root, deg), v).is_zero
 
 
 def test_lowering_prepends_when_canonical():
     m = sl2_module()
     f0, f1 = lowering(m.alg.base, ALPHA, 0), lowering(m.alg.base, ALPHA, 1)
-    v = m.apply_lowering(f1, m.highest_weight_vector())
-    assert v == VermaVector({(f1,): 1})
+    v = m.act(f1, m.highest_weight_vector())
+    assert v == LinComb({(f1,): 1})
     # sl2 lowering factors commute, so the product lands on the sorted monomial
-    assert m.apply_lowering(f0, v) == VermaVector({(f0, f1): 1})
-    assert m.apply_lowering(f1, m.apply_lowering(f0, m.highest_weight_vector())) == VermaVector(
+    assert m.act(f0, v) == LinComb({(f0, f1): 1})
+    assert m.act(f1, m.act(f0, m.highest_weight_vector())) == LinComb(
         {(f0, f1): 1}
     )
 
@@ -65,8 +74,8 @@ def test_sl3_straightening_frozen():
     f2 = lowering(base, Root((0, 1)), 0)
     f12 = lowering(base, Root((1, 1)), 0)
     v = m.highest_weight_vector()
-    assert m.apply_lowering(f1, m.apply_lowering(f2, v)) == VermaVector({(f1, f2): 1})
-    assert m.apply_lowering(f2, m.apply_lowering(f1, v)) == VermaVector(
+    assert m.act(f1, m.act(f2, v)) == LinComb({(f1, f2): 1})
+    assert m.act(f2, m.act(f1, v)) == LinComb(
         {(f1, f2): 1, (f12,): 1}
     )
 
@@ -75,7 +84,7 @@ def test_cartan_on_highest_weight_vector():
     m = sl2_module(((5,), (3,), (7,)))
     v = m.highest_weight_vector()
     for deg, value in [(0, 5), (1, 3), (2, 7)]:
-        assert m.apply_cartan(cartan(m.alg.base, 0, deg), v) == value * v
+        assert m.act(cartan(m.alg.base, 0, deg), v) == value * v
 
 
 def test_cartan_degree_zero_is_scalar_on_homogeneous_vectors():
@@ -89,22 +98,22 @@ def test_cartan_degree_zero_is_scalar_on_homogeneous_vectors():
             from tcla import enumerate_monomials
 
             monos = enumerate_monomials(chi, alg)
-            v = VermaVector({mono: rat(rng) for mono in monos})
+            v = LinComb({mono: rat(rng) for mono in monos})
             if v.is_zero:
                 continue
             for k in range(base.cartan_rank):
                 h = cartan(base, k, 0)
                 basis_dir = tuple(Fraction(int(j == k)) for j in range(base.cartan_rank))
                 expected = weight.evaluate(basis_dir, 0) - base.root_functional(chi)[k]
-                assert m.apply_cartan(h, v) == expected * v
+                assert m.act(h, v) == expected * v
 
 
 def test_cartan_commutator_example():
     m = sl2_module()
     f0, f1 = lowering(m.alg.base, ALPHA, 0), lowering(m.alg.base, ALPHA, 1)
     h1 = cartan(m.alg.base, 0, 1)
-    got = m.apply_cartan(h1, VermaVector({(f0,): 1}))
-    assert got == VermaVector({(f0,): 3, (f1,): -2})
+    got = m.act(h1, LinComb({(f0,): 1}))
+    assert got == LinComb({(f0,): 3, (f1,): -2})
 
 
 def test_raising_examples():
@@ -112,9 +121,9 @@ def test_raising_examples():
     v = m.highest_weight_vector()
     f0, f1 = lowering(m.alg.base, ALPHA, 0), lowering(m.alg.base, ALPHA, 1)
     e0, e1 = raising(m.alg.base, ALPHA, 0), raising(m.alg.base, ALPHA, 1)
-    assert m.apply_raising(e0, m.apply_lowering(f0, v)) == 5 * v
-    assert m.apply_raising(e1, m.apply_lowering(f0, v)) == 3 * v
-    assert m.apply_raising(e1, m.apply_lowering(f1, v)).is_zero
+    assert m.act(e0, m.act(f0, v)) == 5 * v
+    assert m.act(e1, m.act(f0, v)) == 3 * v
+    assert m.act(e1, m.act(f1, v)).is_zero
 
 
 @pytest.mark.parametrize("name", BUILTIN_ALGEBRAS)
@@ -129,7 +138,7 @@ def test_module_axiom(name):
             x, y = rand_generator(rng, alg), rand_generator(rng, alg)
             v = rand_vector(rng, m)
             lhs = m.act(x, m.act(y, v)) - m.act(y, m.act(x, v))
-            rhs = VermaVector()
+            rhs = LinComb()
             for z, c in alg.bracket(x, y).items():
                 rhs = rhs + c * m.act(z, v)
             assert lhs == rhs, (x, y, v)
@@ -143,15 +152,15 @@ def test_weight_homogeneity():
     gens = base.simple_generator_count
     for _ in range(40):
         v = rand_vector(rng, m)
-        if v.is_zero or len(v.weights(gens)) != 1:
+        if v.is_zero or len(vector_weights(v, gens)) != 1:
             continue
-        (chi,) = v.weights(gens)
+        (chi,) = vector_weights(v, gens)
         x = rand_generator(rng, alg)
         out = m.act(x, v)
         if out.is_zero:
             continue
         drop = Root.zero(gens) if x.elem.root is None else -x.elem.root
-        assert out.weights(gens) == {chi + drop}
+        assert vector_weights(out, gens) == {chi + drop}
 
 
 def test_action_is_linear():
@@ -164,20 +173,6 @@ def test_action_is_linear():
         v, w = rand_vector(rng, m), rand_vector(rng, m)
         a, b = rat(rng), rat(rng)
         assert m.act(x, a * v + b * w) == a * m.act(x, v) + b * m.act(x, w)
-
-
-def test_part_validation():
-    m = sl2_module()
-    e0 = raising(m.alg.base, ALPHA, 0)
-    f0 = lowering(m.alg.base, ALPHA, 0)
-    h0 = cartan(m.alg.base, 0, 0)
-    v = m.highest_weight_vector()
-    with pytest.raises(ValueError):
-        m.apply_lowering(e0, v)
-    with pytest.raises(ValueError):
-        m.apply_raising(h0, v)
-    with pytest.raises(ValueError):
-        m.apply_cartan(f0, v)
 
 
 def test_weight_shape_must_match():
