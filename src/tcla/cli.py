@@ -99,7 +99,9 @@ def _check_at_least(flag: str, value: int, least: int) -> int:
 
 
 def _threads() -> int:
-    """The worker cap from TCLA_THREADS (1 when unset)."""
+    """The worker cap from TCLA_THREADS (1 when unset), the only place
+    that reads it; ``cross_validate`` also caps the pool at the sample and
+    core counts."""
     text = os.environ.get("TCLA_THREADS", "1")
     try:
         workers = int(text)

@@ -168,8 +168,7 @@ def _sample_task(base: Algebra, nilp: int, seed: int, index: int, max_height: in
     kind = "constructed" if index % 2 == 1 else "generic"
     witness: tuple[int, ...] | None = None
     if kind == "constructed":
-        candidates = [root for root, _dim in base.positive_roots(max_height)]
-        alpha = rng.choice(candidates)
+        alpha = rng.choice(base.positive_roots(max_height))
         h = base.coroot(alpha)
         pivot = rng.choice([k for k, c in enumerate(h) if c])
         top = levels[nilp]
@@ -209,22 +208,22 @@ def cross_validate(
     samples: int,
     seed: int,
     max_height: int | None = None,
-    workers: int | None = None,
+    workers: int = 1,
 ) -> ValidationReport:
     """Draw ``samples`` random weights (half generic, half constructed
     reducible), run both verdicts on each, and report every comparison.
 
-    Deterministic for a fixed seed regardless of worker count; TCLA_THREADS
-    caps the worker pool when ``workers`` is not given.
+    Deterministic for a fixed seed regardless of worker count.  ``workers``
+    caps the process pool, which never exceeds the sample count or the
+    core count, since every worker process starts up front.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
     if max_height is None:
         max_height = default_scan_height(base)
-    if workers is None:
-        workers = int(os.environ.get("TCLA_THREADS", "1"))
     tasks = [_sample_task(base, nilp, seed, i, max_height) for i in range(samples)]
-    if workers > 1 and samples > 1:
+    workers = min(workers, samples, os.cpu_count() or 1)
+    if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(_run_sample, tasks))
     else:

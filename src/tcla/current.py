@@ -8,8 +8,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InvalidAlgebraError, NotARootError, UnknownElementError
-from .lie_core import Algebra, BaseElement, LinComb, Root
+from .errors import InvalidAlgebraError, UnknownElementError
+from .lie_core import Algebra, BaseElement, LinComb
 
 
 @dataclass(frozen=True)
@@ -57,26 +57,6 @@ class TruncatedAlgebra:
             return LinComb()
         base = self.base.bracket(x.elem, y.elem)
         return base.map_keys(lambda be: CurrentElement(be, degree))
-
-    def subspace_basis(self, root: Root | None) -> list[CurrentElement]:
-        """Basis of g^root (x) k[t]/t^(N+1); root None means the Cartan part.
-
-        Ordered by (space index, degree).
-        """
-        if root is None:
-            return [
-                CurrentElement(BaseElement.cartan(k), i)
-                for k in range(self.base.cartan_rank)
-                for i in range(self.nilp + 1)
-            ]
-        dim = self.base.root_space_dim(root)
-        if dim == 0:
-            raise NotARootError(f"{self.base.name}: {root} is not a root")
-        return [
-            CurrentElement(BaseElement.of_root(root, s), i)
-            for s in range(dim)
-            for i in range(self.nilp + 1)
-        ]
 
     def __repr__(self) -> str:
         return f"<{self.base.name} (x) k[t]/t^{self.nilp + 1}>"

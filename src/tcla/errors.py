@@ -11,8 +11,8 @@ class UnknownAlgebraError(TclaError):
 
 class UnknownElementError(TclaError):
     """A basis element does not belong to the algebra it was used with
-    (bad Cartan index, bad root, bad root-space index, or t-degree out
-    of range)."""
+    (bad Cartan index, bad root, a root vector with a nonzero index, or
+    t-degree out of range)."""
 
 
 class NotARootError(TclaError):
@@ -21,7 +21,7 @@ class NotARootError(TclaError):
 
 class InvalidAlgebraError(TclaError):
     """The algebra's own data violates a structural hypothesis, e.g. a
-    singular root-space pairing.  Signals an internal defect, not bad
+    zero pairing <x_alpha, y_alpha>.  Signals an internal defect, not bad
     user input."""
 
 

@@ -3,8 +3,10 @@
 Every algebra is presented through the same data: a Cartan basis acting
 diagonally, a catalog of positive roots written over a finite set of simple
 generators, structure constants for the bracket of basis elements, and for
-each positive root alpha a pairing matrix between g^alpha and g^-alpha
-together with a coroot h_alpha satisfying [x, y] = <x, y> h_alpha.
+each positive root alpha the scalar pairing <x_alpha, y_alpha> together with
+a coroot h_alpha satisfying [x_alpha, y_alpha] = <x_alpha, y_alpha> h_alpha.
+Root spaces are one-dimensional: x_alpha spans g^alpha and y_alpha spans
+g^-alpha, so a root vector is named by its root alone.
 
 Built-in conventions
 --------------------
@@ -46,7 +48,6 @@ from fractions import Fraction
 from math import isqrt
 from typing import Callable, Iterable, Iterator
 
-from . import linalg
 from .errors import (
     InvalidAlgebraError,
     NotARootError,
@@ -111,7 +112,8 @@ def root_order_key(root: Root) -> tuple:
 
 @dataclass(frozen=True)
 class BaseElement:
-    """Basis element of g: a Cartan vector (root None) or a root-space vector."""
+    """Basis element of g: the ``index``-th Cartan vector (root None) or the
+    vector spanning the root space of ``root`` (index 0)."""
 
     root: Root | None
     index: int = 0
@@ -121,8 +123,8 @@ class BaseElement:
         return BaseElement(None, index)
 
     @staticmethod
-    def of_root(root: Root, index: int = 0) -> "BaseElement":
-        return BaseElement(root, index)
+    def of_root(root: Root) -> "BaseElement":
+        return BaseElement(root)
 
     @property
     def is_cartan(self) -> bool:
@@ -131,7 +133,7 @@ class BaseElement:
     def __str__(self) -> str:
         if self.root is None:
             return f"h[{self.index}]"
-        return f"x{self.root}[{self.index}]"
+        return f"x{self.root}"
 
 
 class LinComb:
@@ -251,16 +253,16 @@ class Algebra:
 
     # -- subclass surface ---------------------------------------------------
 
-    def positive_roots(self, max_height: int | None = None) -> list[tuple[Root, int]]:
-        """Positive roots with their root-space dimensions, canonically ordered.
+    def positive_roots(self, max_height: int | None = None) -> list[Root]:
+        """Positive roots, canonically ordered.
 
         ``max_height=None`` asks for the full catalog and is only legal for
         finite root systems.
         """
         raise NotImplementedError
 
-    def root_space_dim(self, root: Root) -> int:
-        """dim g^root for a signed root; 0 when root is not a root at all."""
+    def is_root(self, root: Root) -> bool:
+        """Whether a signed coordinate vector of the right arity is a root."""
         raise NotImplementedError
 
     def bracket(self, x: BaseElement, y: BaseElement) -> LinComb:
@@ -270,8 +272,8 @@ class Algebra:
         """
         raise NotImplementedError
 
-    def pairing(self, alpha: Root) -> list[list[Fraction]]:
-        """Matrix <x_a, y_b> over the chosen bases of g^alpha and g^-alpha."""
+    def pairing(self, alpha: Root) -> Fraction:
+        """The scalar <x_alpha, y_alpha> with [x_alpha, y_alpha] = <x_alpha, y_alpha> h_alpha."""
         raise NotImplementedError
 
     def coroot(self, alpha: Root) -> CartanVector:
@@ -287,7 +289,7 @@ class Algebra:
     def check_positive_root(self, alpha: Root) -> None:
         if len(alpha.coords) != self.simple_generator_count:
             raise NotARootError(f"{self.name}: root arity {len(alpha.coords)} != {self.simple_generator_count}")
-        if not alpha.is_positive or self.root_space_dim(alpha) == 0:
+        if not alpha.is_positive or not self.is_root(alpha):
             raise NotARootError(f"{self.name}: {alpha} is not a positive root")
 
     def check_element(self, x: BaseElement) -> None:
@@ -295,19 +297,18 @@ class Algebra:
             if not 0 <= x.index < self.cartan_rank:
                 raise UnknownElementError(f"{self.name}: Cartan index {x.index} out of range")
             return
-        dim = self.root_space_dim(x.root) if len(x.root.coords) == self.simple_generator_count else 0
-        if dim == 0:
+        if len(x.root.coords) != self.simple_generator_count or not self.is_root(x.root):
             raise UnknownElementError(f"{self.name}: {x.root} is not a root")
-        if not 0 <= x.index < dim:
-            raise UnknownElementError(f"{self.name}: root-space index {x.index} out of range for {x.root}")
+        if x.index:
+            raise UnknownElementError(f"{self.name}: root vector {x.root} has index {x.index}, not 0")
 
     def cartan_element(self, index: int) -> BaseElement:
         x = BaseElement.cartan(index)
         self.check_element(x)
         return x
 
-    def root_element(self, root: Root, index: int = 0) -> BaseElement:
-        x = BaseElement.of_root(root, index)
+    def root_element(self, root: Root) -> BaseElement:
+        x = BaseElement.of_root(root)
         self.check_element(x)
         return x
 
@@ -321,8 +322,8 @@ class Algebra:
                     values[k] += c * action[k]
         return tuple(values)
 
-    def dual_raising(self, alpha: Root, space_index: int) -> LinComb:
-        """The x in g^alpha with <x, y_b> = delta_{b, space_index}.
+    def dual_raising(self, alpha: Root) -> LinComb:
+        """x_alpha / <x_alpha, y_alpha>, the raising vector paired to 1 with y_alpha.
 
         Cached per instance (only valid arguments are ever stored): the
         Shapovalov builder asks for the same few vectors once per raising
@@ -330,23 +331,14 @@ class Algebra:
         not call a common ``__init__``.
         """
         cache = self.__dict__.setdefault("_dual_raising", {})
-        hit = cache.get((alpha, space_index))
+        hit = cache.get(alpha)
         if hit is not None:
             return hit
         self.check_positive_root(alpha)
-        dim = self.root_space_dim(alpha)
-        if not 0 <= space_index < dim:
-            raise UnknownElementError(f"{self.name}: root-space index {space_index} out of range for {alpha}")
-        p = self.pairing(alpha)
-        try:
-            p_inv = linalg.invert(p)
-        except ValueError as exc:
-            raise InvalidAlgebraError(f"{self.name}: singular pairing at {alpha} violates non-degeneracy") from exc
-        dual = cache[(alpha, space_index)] = LinComb(
-            (BaseElement.of_root(alpha, a), p_inv[space_index][a])
-            for a in range(dim)
-            if p_inv[space_index][a]
-        )
+        p = Fraction(self.pairing(alpha))
+        if not p:
+            raise InvalidAlgebraError(f"{self.name}: zero pairing at {alpha} violates non-degeneracy")
+        dual = cache[alpha] = LinComb.term(BaseElement.of_root(alpha), 1 / p)
         return dual
 
     def coroot_zeros(self, top: CartanVector, max_height: int) -> tuple[list[Root], int | None]:
@@ -361,7 +353,7 @@ class Algebra:
         bound = None if self.finite_roots else max_height
         witnesses = [
             root
-            for root, _dim in self.positive_roots(bound)
+            for root in self.positive_roots(bound)
             if sum(c * v for c, v in zip(self.coroot(root), top)) == 0
         ]
         return witnesses, bound
@@ -405,12 +397,11 @@ class SpecialLinear(Algebra):
             return None
         return (lo, hi + 1) if sign > 0 else (hi + 1, lo)
 
-    def positive_roots(self, max_height: int | None = None) -> list[tuple[Root, int]]:
-        roots = self._roots if max_height is None else [r for r in self._roots if r.height <= max_height]
-        return [(r, 1) for r in roots]
+    def positive_roots(self, max_height: int | None = None) -> list[Root]:
+        return [r for r in self._roots if max_height is None or r.height <= max_height]
 
-    def root_space_dim(self, root: Root) -> int:
-        return 1 if self._root_to_pair(root) is not None else 0
+    def is_root(self, root: Root) -> bool:
+        return self._root_to_pair(root) is not None
 
     def simple_root_action(self, s: int) -> CartanVector:
         # Cartan matrix of type A: alpha_s(h_k).
@@ -439,7 +430,7 @@ class SpecialLinear(Algebra):
         for (i, j), c in units.items():
             if i != j and c:
                 root = self._run_root(i, j) if i < j else -self._run_root(j, i)
-                terms.append((BaseElement.of_root(root, 0), c))
+                terms.append((BaseElement.of_root(root), c))
         return LinComb(terms)
 
     def bracket(self, x: BaseElement, y: BaseElement) -> LinComb:
@@ -455,9 +446,9 @@ class SpecialLinear(Algebra):
                     out[(c, b)] = out.get((c, b), Fraction(0)) - coeff
         return self._from_units(out)
 
-    def pairing(self, alpha: Root) -> list[list[Fraction]]:
+    def pairing(self, alpha: Root) -> Fraction:
         self.check_positive_root(alpha)
-        return [[Fraction(1)]]
+        return Fraction(1)
 
     def coroot(self, alpha: Root) -> CartanVector:
         self.check_positive_root(alpha)
@@ -474,13 +465,13 @@ class VirasoroAlgebra(Algebra):
     simple_generator_count = 1
     finite_roots = False
 
-    def positive_roots(self, max_height: int | None = None) -> list[tuple[Root, int]]:
+    def positive_roots(self, max_height: int | None = None) -> list[Root]:
         if max_height is None:
             raise ValueError("virasoro has infinitely many positive roots; give a height bound")
-        return [(Root((m,)), 1) for m in range(1, max_height + 1)]
+        return [Root((m,)) for m in range(1, max_height + 1)]
 
-    def root_space_dim(self, root: Root) -> int:
-        return 1 if len(root.coords) == 1 and root.coords[0] != 0 else 0
+    def is_root(self, root: Root) -> bool:
+        return len(root.coords) == 1 and root.coords[0] != 0
 
     def simple_root_action(self, s: int) -> CartanVector:
         # [L0, L_m] = -m L_m, [c, L_m] = 0.
@@ -492,7 +483,7 @@ class VirasoroAlgebra(Algebra):
         return ("L", 0) if x.index == 0 else ("c", 0)
 
     def _encode(self, m: int) -> BaseElement:
-        return BaseElement.cartan(0) if m == 0 else BaseElement.of_root(Root((m,)), 0)
+        return BaseElement.cartan(0) if m == 0 else BaseElement.of_root(Root((m,)))
 
     def bracket(self, x: BaseElement, y: BaseElement) -> LinComb:
         self.check_element(x)
@@ -510,9 +501,9 @@ class VirasoroAlgebra(Algebra):
                 terms.append((BaseElement.cartan(1), central))
         return LinComb(terms)
 
-    def pairing(self, alpha: Root) -> list[list[Fraction]]:
+    def pairing(self, alpha: Root) -> Fraction:
         self.check_positive_root(alpha)
-        return [[Fraction(1)]]
+        return Fraction(1)
 
     def coroot(self, alpha: Root) -> CartanVector:
         self.check_positive_root(alpha)
@@ -546,13 +537,13 @@ class OscillatorAlgebra(Algebra):
     simple_generator_count = 1
     finite_roots = False
 
-    def positive_roots(self, max_height: int | None = None) -> list[tuple[Root, int]]:
+    def positive_roots(self, max_height: int | None = None) -> list[Root]:
         if max_height is None:
             raise ValueError("oscillator has infinitely many positive roots; give a height bound")
-        return [(Root((m,)), 1) for m in range(1, max_height + 1)]
+        return [Root((m,)) for m in range(1, max_height + 1)]
 
-    def root_space_dim(self, root: Root) -> int:
-        return 1 if len(root.coords) == 1 and root.coords[0] != 0 else 0
+    def is_root(self, root: Root) -> bool:
+        return len(root.coords) == 1 and root.coords[0] != 0
 
     def simple_root_action(self, s: int) -> CartanVector:
         # [d, a_m] = m a_m, [hbar, a_m] = 0.
@@ -574,16 +565,16 @@ class OscillatorAlgebra(Algebra):
         if kx == "d" and ky == "d":
             return LinComb()
         if kx == "d":
-            return LinComb.term(BaseElement.of_root(Root((n,)), 0), n)
+            return LinComb.term(BaseElement.of_root(Root((n,))), n)
         if ky == "d":
-            return LinComb.term(BaseElement.of_root(Root((m,)), 0), -m)
+            return LinComb.term(BaseElement.of_root(Root((m,))), -m)
         if m == -n:
             return LinComb.term(BaseElement.cartan(1), m)
         return LinComb()
 
-    def pairing(self, alpha: Root) -> list[list[Fraction]]:
+    def pairing(self, alpha: Root) -> Fraction:
         self.check_positive_root(alpha)
-        return [[Fraction(alpha.coords[0])]]
+        return Fraction(alpha.coords[0])
 
     def coroot(self, alpha: Root) -> CartanVector:
         self.check_positive_root(alpha)
@@ -597,14 +588,15 @@ class OscillatorAlgebra(Algebra):
 
 
 class RescaledLowering(Algebra):
-    """The same algebra with each lowering basis vector y_{alpha,b} replaced
-    by scale(alpha, b) * y_{alpha,b}.
+    """The same algebra with each lowering vector y_alpha replaced by
+    scale(alpha) * y_alpha.
 
     Used to probe that determinant zero sets do not depend on the choice of
-    lowering basis.  Raising and Cartan vectors are untouched.
+    lowering basis.  Raising and Cartan vectors, and so the coroots, are
+    untouched.
     """
 
-    def __init__(self, base: Algebra, scale: Callable[[Root, int], Fraction]) -> None:
+    def __init__(self, base: Algebra, scale: Callable[[Root], Fraction]) -> None:
         self.base = base
         self._scale = scale
         self.name = f"{base.name}[rescaled]"
@@ -615,17 +607,17 @@ class RescaledLowering(Algebra):
 
     def _factor(self, x: BaseElement) -> Fraction:
         if x.root is not None and not x.root.is_positive:
-            s = Fraction(self._scale(-x.root, x.index))
+            s = Fraction(self._scale(-x.root))
             if not s:
                 raise InvalidAlgebraError("lowering rescale factors must be nonzero")
             return s
         return Fraction(1)
 
-    def positive_roots(self, max_height: int | None = None) -> list[tuple[Root, int]]:
+    def positive_roots(self, max_height: int | None = None) -> list[Root]:
         return self.base.positive_roots(max_height)
 
-    def root_space_dim(self, root: Root) -> int:
-        return self.base.root_space_dim(root)
+    def is_root(self, root: Root) -> bool:
+        return self.base.is_root(root)
 
     def simple_root_action(self, s: int) -> CartanVector:
         return self.base.simple_root_action(s)
@@ -635,13 +627,14 @@ class RescaledLowering(Algebra):
         s = self._factor(x) * self._factor(y)
         return LinComb((z, s * c / self._factor(z)) for z, c in raw.items())
 
-    def pairing(self, alpha: Root) -> list[list[Fraction]]:
-        p = self.base.pairing(alpha)
-        dim = len(p)
-        return [[p[a][b] * Fraction(self._scale(alpha, b)) for b in range(dim)] for a in range(dim)]
+    def pairing(self, alpha: Root) -> Fraction:
+        return self.base.pairing(alpha) * Fraction(self._scale(alpha))
 
     def coroot(self, alpha: Root) -> CartanVector:
         return self.base.coroot(alpha)
+
+    def coroot_zeros(self, top: CartanVector, max_height: int) -> tuple[list[Root], int | None]:
+        return self.base.coroot_zeros(top, max_height)
 
 
 BUILTIN_ALGEBRAS = ("sl2", "sl3", "sl4", "virasoro", "oscillator")

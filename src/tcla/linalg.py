@@ -11,8 +11,6 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-Matrix = list[list[Fraction]]
-
 
 def determinant(rows: list[list[Fraction]]) -> Fraction:
     """Exact determinant; the 0x0 matrix has determinant 1."""
@@ -52,30 +50,6 @@ def determinant(rows: list[list[Fraction]]) -> Fraction:
             row_i[k] = 0
         prev = pivot
     return Fraction(sign * m[-1][-1], scale)
-
-
-def invert(rows: list[list[Fraction]]) -> Matrix:
-    """Gauss-Jordan inverse.  Raises ValueError on a singular matrix."""
-    n = len(rows)
-    if any(len(r) != n for r in rows):
-        raise ValueError("inverse of a non-square matrix")
-    a = [[Fraction(x) for x in row] for row in rows]
-    inv = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        pivot_row = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if pivot_row is None:
-            raise ValueError("singular matrix")
-        a[col], a[pivot_row] = a[pivot_row], a[col]
-        inv[col], inv[pivot_row] = inv[pivot_row], inv[col]
-        p = a[col][col]
-        a[col] = [x / p for x in a[col]]
-        inv[col] = [x / p for x in inv[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-                inv[r] = [x - f * y for x, y in zip(inv[r], inv[col])]
-    return inv
 
 
 def kernel_vector(rows: list[list[Fraction]]) -> list[Fraction] | None:

@@ -8,6 +8,7 @@ is one.
 from __future__ import annotations
 
 import re
+from decimal import Decimal
 from fractions import Fraction
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
@@ -26,6 +27,9 @@ def parse_rational(text: str) -> Fraction:
 
 
 def format_rational(x: Fraction) -> str:
+    # str(Decimal(n)) spells an int exactly as str(n) does, but without the
+    # interpreter's limit on the digits of an int-to-str conversion.
+    num = str(Decimal(x.numerator))
     if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
+        return num
+    return f"{num}/{Decimal(x.denominator)}"

@@ -2,8 +2,8 @@
 
 Row i descends from the highest-weight vector along the i-th PBW monomial;
 column j ascends back along the dual of the j-th monomial (each lowering
-factor replaced, in reverse order, by its pairing-dual raising vector at
-the same t-degree).  Entry (i, j) is the resulting multiple of the
+factor y_alpha replaced, in reverse order, by x_alpha / <x_alpha, y_alpha>
+at the same t-degree).  Entry (i, j) is the resulting multiple of the
 highest-weight vector.
 
 Matrices are built by the transpose recursion rather than one full ascent
@@ -56,8 +56,9 @@ def ascend(module: VermaModule, path: Monomial, v: LinComb) -> LinComb:
 
     The ascent retraces the descent step by step: the descent applies the
     monomial's rightmost factor first, so the ascent starts from the dual
-    of the leftmost factor and works right, each lowering factor replaced
-    by its pairing-dual raising vector at the same t-degree.  The composed
+    of the leftmost factor and works right, each lowering factor y_alpha
+    replaced by the raising vector x_alpha / <x_alpha, y_alpha> at the same
+    t-degree, so each step is one scaled action.  The composed
     operator is the image of the monomial under the transpose
     anti-involution, which is what makes the matrices of the sl(n) and
     Virasoro built-ins symmetric.
@@ -69,11 +70,8 @@ def ascend(module: VermaModule, path: Monomial, v: LinComb) -> LinComb:
     base = module.alg.base
     for f in path:
         assert f.elem.root is not None
-        dual = base.dual_raising(-f.elem.root, f.elem.index)
-        acc = LinComb()
-        for be, coeff in dual.items():
-            acc = acc + coeff * module.act(CurrentElement(be, f.degree), v)
-        v = acc
+        ((x, coeff),) = base.dual_raising(-f.elem.root).items()
+        v = coeff * module.act(CurrentElement(x, f.degree), v)
         if v.is_zero:
             break
     return v

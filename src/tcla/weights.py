@@ -85,11 +85,11 @@ class WeightFunctional:
 
 def factor_key(x: CurrentElement) -> tuple:
     """Canonical sort key of a lowering generator inside a PBW monomial:
-    (root height, root coords lex-descending, space index, t-degree)."""
+    (root height, root coords lex-descending, t-degree)."""
     root = x.elem.root
     assert root is not None
     pos = -root
-    return (pos.height, tuple(-c for c in pos.coords), x.elem.index, x.degree)
+    return (pos.height, tuple(-c for c in pos.coords), x.degree)
 
 
 def monomial_weight(mono: Monomial, generators: int) -> Root:
@@ -103,27 +103,29 @@ def monomial_weight(mono: Monomial, generators: int) -> Root:
 
 
 def format_monomial(mono: Monomial) -> str:
-    """Stable text encoding: "f(root)[space]@deg * ...", or "1" when empty."""
+    """Stable text encoding: "f(root)[0]@deg * ...", or "1" when empty.
+
+    The "[0]" is a fixed field of the format, kept so that exported
+    monomial text never changes."""
     if not mono:
         return "1"
     parts = []
     for x in mono:
         pos = -x.elem.root
         coords = ",".join(str(c) for c in pos.coords)
-        parts.append(f"f({coords})[{x.elem.index}]@{x.degree}")
+        parts.append(f"f({coords})[0]@{x.degree}")
     return " * ".join(parts)
 
 
 def lowering_generators(chi: Root, alg: TruncatedAlgebra) -> list[CurrentElement]:
     """All lowering generators whose weight drop fits inside chi, in
     canonical order."""
-    gens: list[CurrentElement] = []
-    for root, dim in alg.base.positive_roots(chi.height):
-        if not root.fits_within(chi):
-            continue
-        for s in range(dim):
-            for d in range(alg.nilp + 1):
-                gens.append(CurrentElement(BaseElement.of_root(-root, s), d))
+    gens = [
+        CurrentElement(BaseElement.of_root(-root), d)
+        for root in alg.base.positive_roots(chi.height)
+        if root.fits_within(chi)
+        for d in range(alg.nilp + 1)
+    ]
     gens.sort(key=factor_key)
     return gens
 

@@ -30,13 +30,13 @@ def rand_weight(rng: random.Random, base: Algebra, nilp: int, **kw) -> WeightFun
     return WeightFunctional(rand_levels(rng, base.cartan_rank, nilp, **kw))
 
 
-def lowering(base: Algebra, alpha: Root, deg: int = 0, index: int = 0) -> CurrentElement:
+def lowering(base: Algebra, alpha: Root, deg: int = 0) -> CurrentElement:
     """Lowering generator for the positive root alpha at t-degree deg."""
-    return CurrentElement(base.root_element(-alpha, index), deg)
+    return CurrentElement(base.root_element(-alpha), deg)
 
 
-def raising(base: Algebra, alpha: Root, deg: int = 0, index: int = 0) -> CurrentElement:
-    return CurrentElement(base.root_element(alpha, index), deg)
+def raising(base: Algebra, alpha: Root, deg: int = 0) -> CurrentElement:
+    return CurrentElement(base.root_element(alpha), deg)
 
 
 def cartan(base: Algebra, k: int, deg: int = 0) -> CurrentElement:
@@ -49,8 +49,7 @@ def rand_generator(rng: random.Random, alg: TruncatedAlgebra, max_root_height: i
     kind = rng.choice(["lowering", "cartan", "raising"])
     if kind == "cartan":
         return cartan(base, rng.randrange(base.cartan_rank), deg)
-    roots = [r for r, _ in base.positive_roots(max_root_height)]
-    alpha = rng.choice(roots)
+    alpha = rng.choice(base.positive_roots(max_root_height))
     return lowering(base, alpha, deg) if kind == "lowering" else raising(base, alpha, deg)
 
 
@@ -62,7 +61,7 @@ def rand_vector(
 ) -> LinComb:
     """Random small vector built by lowering words from the highest-weight vector."""
     base = module.alg.base
-    roots = [r for r, _ in base.positive_roots(max_root_height)]
+    roots = base.positive_roots(max_root_height)
     v = LinComb()
     for _ in range(rng.randint(1, 2)):
         w = module.highest_weight_vector()
@@ -92,8 +91,7 @@ def basis_sample(base: Algebra, mode_bound: int = 3) -> list[BaseElement]:
     """Every Cartan basis vector plus root vectors up to the height bound
     (the full basis for the finite built-ins when the bound covers them)."""
     out = [BaseElement.cartan(k) for k in range(base.cartan_rank)]
-    for root, dim in base.positive_roots(mode_bound):
-        for s in range(dim):
-            out.append(BaseElement.of_root(root, s))
-            out.append(BaseElement.of_root(-root, s))
+    for root in base.positive_roots(mode_bound):
+        out.append(BaseElement.of_root(root))
+        out.append(BaseElement.of_root(-root))
     return out

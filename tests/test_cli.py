@@ -199,6 +199,19 @@ def test_scan_json_into_missing_directory_exit_code(tmp_path, capsys):
     assert_input_error(capsys, code)
 
 
+def test_scan_prints_determinants_past_the_int_digit_limit(tmp_path, capsys):
+    # Determinants of 1500-digit levels run past the interpreter's default
+    # limit on int-to-str digits; the scan still prints them exactly.
+    big = "7" * 1500
+    lam = write_weight(tmp_path, {"levels": [{"h1": big}, {"h1": big}]})
+    code = main(["scan", "--algebra", "sl2", "--nilp", "1", "--lambda", lam, "--max-height", "3"])
+    assert code == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == f"chi=(1) dim=2 det=-{int(big) ** 2}"
+    assert len(lines[-2].split("det=")[1]) > 4300
+    assert lines[-1] == "no zero determinant up to height 3"
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["check", "--algebra", "sl2"])  # missing required flags

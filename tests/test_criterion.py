@@ -19,6 +19,7 @@ from tcla import (
     default_scan_height,
     scan_reducible,
 )
+from tcla import criterion
 from tcla.criterion import report_json_bytes
 
 ALPHA = Root((1,))
@@ -108,16 +109,17 @@ def test_closed_form_coroot_zeros_match_generic_scan(name):
         assert [root for root in closed if root.height <= height] == generic, top
 
 
-def test_rescaled_virasoro_uses_the_generic_scan():
-    base = RescaledLowering(algebra("virasoro"), lambda alpha, b: Fraction(alpha.height + 1))
-    alg = TruncatedAlgebra(base, 1)
+def test_rescaled_virasoro_matches_the_base_verdict():
+    # Rescaling the lowering vectors leaves the coroots alone, so the verdict
+    # and its witnesses are the base algebra's, beyond the height bound too.
+    base = algebra("virasoro")
+    plain = TruncatedAlgebra(base, 1)
+    rescaled = TruncatedAlgebra(RescaledLowering(base, lambda alpha: Fraction(alpha.height + 1)), 1)
     for top in [(1, -8), (5, 0), (0, 0), (-2, 1), (0, 3)]:
         w = WeightFunctional([(0, 0), top])
-        verdict = criterion_reducible(w, alg, 4)
-        witnesses, _ = Algebra.coroot_zeros(base, w.level(1), 4)
-        assert verdict.witnesses == witnesses
-        assert verdict.reducible == bool(witnesses)
-        assert verdict.scanned_height == 4
+        assert criterion_reducible(w, rescaled, 4) == criterion_reducible(w, plain, 4)
+    verdict = criterion_reducible(WeightFunctional([(0, 0), (-2, 1)]), rescaled, 4)
+    assert verdict.reducible and verdict.witnesses == [Root((7,))]
 
 
 def test_witness_soundness():
@@ -214,6 +216,36 @@ def test_cross_validate_parallel_matches_serial():
     serial = cross_validate(algebra("sl2"), 2, 8, seed=3, max_height=2, workers=1)
     parallel = cross_validate(algebra("sl2"), 2, 8, seed=3, max_height=2, workers=2)
     assert report_json_bytes(serial) == report_json_bytes(parallel)
+
+
+def test_worker_pool_is_capped_by_samples_and_cores(monkeypatch):
+    # A stand-in pool records its size and runs in-process: no worker starts.
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(criterion, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(criterion.os, "cpu_count", lambda: 4)
+    monkeypatch.setenv("TCLA_THREADS", "abc")  # read by the CLI only
+    base = algebra("sl2")
+    serial = cross_validate(base, 1, 3, seed=5, max_height=1)
+    wide = cross_validate(base, 1, 3, seed=5, max_height=1, workers=10**6)
+    assert report_json_bytes(wide) == report_json_bytes(serial)
+    cross_validate(base, 1, 8, seed=5, max_height=1, workers=10**6)
+    monkeypatch.setattr(criterion.os, "cpu_count", lambda: None)
+    cross_validate(base, 1, 8, seed=5, max_height=1, workers=10**6)
+    assert sizes == [3, 4]
 
 
 def test_validation_argument_errors():

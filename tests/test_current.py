@@ -1,4 +1,4 @@
-"""Truncated current algebra: bracket truncation and graded bases."""
+"""Truncated current algebra: element checks and bracket truncation."""
 
 import random
 
@@ -84,22 +84,3 @@ def test_antisymmetry_and_jacobi():
                     total = total + c * alg.bracket(term, others)
             assert total == LinComb()
 
-
-def test_subspace_basis_examples():
-    sl2 = TruncatedAlgebra(algebra("sl2"), 1)
-    assert sl2.subspace_basis(-ALPHA) == [
-        lowering(sl2.base, ALPHA, 0),
-        lowering(sl2.base, ALPHA, 1),
-    ]
-
-    sl3 = TruncatedAlgebra(algebra("sl3"), 2)
-    theta = Root((1, 1))
-    assert sl3.subspace_basis(-theta) == [lowering(sl3.base, theta, d) for d in range(3)]
-
-    vir = TruncatedAlgebra(algebra("virasoro"), 1)
-    assert vir.subspace_basis(None) == [
-        cartan(vir.base, 0, 0),
-        cartan(vir.base, 0, 1),
-        cartan(vir.base, 1, 0),
-        cartan(vir.base, 1, 1),
-    ]

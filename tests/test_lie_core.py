@@ -56,11 +56,13 @@ def test_virasoro_bracket_example():
 
 
 def test_bracket_rejects_unknown_elements():
-    bad = BaseElement.of_root(Root((2, 0)), 0)  # not an sl3 root
+    bad = BaseElement.of_root(Root((2, 0)))  # not an sl3 root
     with pytest.raises(UnknownElementError):
         SL3.bracket(bad, SL3.cartan_element(0))
     with pytest.raises(UnknownElementError):
         SL2.bracket(SL2.cartan_element(0), BaseElement.cartan(5))
+    with pytest.raises(UnknownElementError):  # root spaces are one-dimensional
+        SL2.bracket(BaseElement(ALPHA, 1), SL2.cartan_element(0))
 
 
 def test_coroot_examples():
@@ -80,17 +82,17 @@ def test_coroot_rejects_non_roots():
 
 
 def test_dual_raising_examples():
-    assert SL2.dual_raising(ALPHA, 0) == LinComb.term(SL2.root_element(ALPHA))
-    assert VIR.dual_raising(Root((3,)), 0) == LinComb.term(VIR.root_element(Root((3,))))
-    assert OSC.dual_raising(Root((2,)), 0) == LinComb.term(
+    assert SL2.dual_raising(ALPHA) == LinComb.term(SL2.root_element(ALPHA))
+    assert VIR.dual_raising(Root((3,))) == LinComb.term(VIR.root_element(Root((3,))))
+    assert OSC.dual_raising(Root((2,))) == LinComb.term(
         OSC.root_element(Root((2,))), Fraction(1, 2)
     )
 
 
 def test_dual_raising_is_pairing_dual():
-    # bracket(dual_raising(alpha, 0), lowering basis vector) recovers the coroot
+    # bracket(dual_raising(alpha), lowering vector) recovers the coroot
     for base, alpha in [(SL3, Root((1, 1))), (VIR, Root((3,))), (OSC, Root((4,)))]:
-        dual = base.dual_raising(alpha, 0)
+        dual = base.dual_raising(alpha)
         y = base.root_element(-alpha)
         got = bracket_ext(base, dual, LinComb.term(y))
         expected = LinComb(
@@ -100,21 +102,13 @@ def test_dual_raising_is_pairing_dual():
 
 
 def test_enumerate_positive_roots_examples():
-    assert SL2.positive_roots(3) == [(Root((1,)), 1)]
-    assert SL3.positive_roots(2) == [
-        (Root((1, 0)), 1),
-        (Root((0, 1)), 1),
-        (Root((1, 1)), 1),
-    ]
-    assert VIR.positive_roots(3) == [
-        (Root((1,)), 1),
-        (Root((2,)), 1),
-        (Root((3,)), 1),
-    ]
+    assert SL2.positive_roots(3) == [Root((1,))]
+    assert SL3.positive_roots(2) == [Root((1, 0)), Root((0, 1)), Root((1, 1))]
+    assert VIR.positive_roots(3) == [Root((1,)), Root((2,)), Root((3,))]
 
 
 def test_sl4_root_catalog():
-    roots = [r for r, d in SL4.positive_roots()]
+    roots = SL4.positive_roots()
     assert len(roots) == 6
     assert [r.height for r in roots] == [1, 1, 1, 2, 2, 3]
     assert roots[-1] == Root((1, 1, 1))
@@ -182,30 +176,27 @@ def test_grading(name, bound):
 
 @pytest.mark.parametrize("name,bound", [("sl2", 1), ("sl3", 2), ("sl4", 3), ("virasoro", 6), ("oscillator", 6)])
 def test_pairing_consistency(name, bound):
-    # bracket(x_a, y_b) = P[a][b] * h_alpha for root-space basis pairs
+    # bracket(x_alpha, y_alpha) = <x_alpha, y_alpha> * h_alpha
     base = algebra(name)
-    for alpha, dim in base.positive_roots(bound):
+    for alpha in base.positive_roots(bound):
         p = base.pairing(alpha)
         h = base.coroot(alpha)
-        assert any(c != 0 for c in h), "coroot must be nonzero"
+        assert p != 0 and any(c != 0 for c in h), "pairing and coroot must be nonzero"
         h_comb = LinComb((BaseElement.cartan(k), c) for k, c in enumerate(h) if c)
-        for a in range(dim):
-            for b in range(dim):
-                got = base.bracket(base.root_element(alpha, a), base.root_element(-alpha, b))
-                assert got == p[a][b] * h_comb
+        got = base.bracket(base.root_element(alpha), base.root_element(-alpha))
+        assert got == p * h_comb
 
 
 @pytest.mark.parametrize("name,bound", [("sl2", 1), ("sl3", 2), ("sl4", 3), ("virasoro", 6), ("oscillator", 6)])
 def test_cartan_action(name, bound):
     base = algebra(name)
-    for root, dim in base.positive_roots(bound):
+    for root in base.positive_roots(bound):
         for signed in (root, -root):
             action = base.root_functional(signed)
-            for s in range(dim):
-                x = base.root_element(signed, s)
-                for k in range(base.cartan_rank):
-                    got = base.bracket(base.cartan_element(k), x)
-                    assert got == action[k] * LinComb.term(x)
+            x = base.root_element(signed)
+            for k in range(base.cartan_rank):
+                got = base.bracket(base.cartan_element(k), x)
+                assert got == action[k] * LinComb.term(x)
 
 
 @settings(max_examples=60, derandomize=True)
@@ -229,30 +220,33 @@ def test_singular_pairing_violates_nondegeneracy():
 
     class Broken(SpecialLinear):
         def pairing(self, alpha):
-            return [[Fraction(0)]]
+            return Fraction(0)
 
     with pytest.raises(InvalidAlgebraError):
-        Broken(2).dual_raising(Root((1,)), 0)
+        Broken(2).dual_raising(Root((1,)))
 
 
 def test_rescaled_lowering_keeps_the_axioms():
     rng = random.Random("rescale")
     scales = {}
 
-    def scale(alpha, idx):
-        return scales.setdefault((alpha, idx), Fraction(rng.randint(1, 7), rng.randint(1, 5)))
+    def scale(alpha):
+        return scales.setdefault(alpha, Fraction(rng.randint(1, 7), rng.randint(1, 5)))
 
     scaled = RescaledLowering(SL3, scale)
-    # pairing consistency survives the rescale
-    for alpha, dim in scaled.positive_roots(2):
-        p = scaled.pairing(alpha)
+    # pairing consistency and the Cartan action survive the rescale
+    for alpha in scaled.positive_roots(2):
+        assert scaled.pairing(alpha) == SL3.pairing(alpha) * scale(alpha)
         h_comb = LinComb(
             (BaseElement.cartan(k), c) for k, c in enumerate(scaled.coroot(alpha)) if c
         )
-        for a in range(dim):
-            for b in range(dim):
-                got = scaled.bracket(scaled.root_element(alpha, a), scaled.root_element(-alpha, b))
-                assert got == p[a][b] * h_comb
+        got = scaled.bracket(scaled.root_element(alpha), scaled.root_element(-alpha))
+        assert got == scaled.pairing(alpha) * h_comb
+        for signed in (alpha, -alpha):
+            action = scaled.root_functional(signed)
+            x = scaled.root_element(signed)
+            for k in range(scaled.cartan_rank):
+                assert scaled.bracket(scaled.cartan_element(k), x) == action[k] * LinComb.term(x)
     # spot-check Jacobi in the rescaled basis
     elems = basis_sample(scaled, 2)
     for _ in range(100):

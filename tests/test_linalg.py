@@ -56,22 +56,6 @@ def test_determinant_singular_via_pivot_search():
     assert linalg.determinant(m2) == -1
 
 
-def test_invert_round_trip():
-    rng = random.Random("invert")
-    for _ in range(10):
-        m = rand_matrix(rng, 3)
-        if linalg.determinant(m) == 0:
-            continue
-        inv = linalg.invert(m)
-        prod = [
-            [sum(m[i][k] * inv[k][j] for k in range(3)) for j in range(3)]
-            for i in range(3)
-        ]
-        assert prod == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
-    with pytest.raises(ValueError):
-        linalg.invert([[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]])
-
-
 def test_kernel_vectors():
     m = [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]
     x = linalg.kernel_vector(m)

@@ -2,7 +2,7 @@
 the API removed as unused stays removed."""
 
 import tcla
-from tcla import TruncatedAlgebra, VermaModule, WeightFunctional, lie_core, rationals
+from tcla import TruncatedAlgebra, VermaModule, WeightFunctional, lie_core, linalg, rationals
 
 REMOVED_EXPORTS = ("VermaVector", "canonical_monomial", "enumerate_positive_roots", "render", "Rat")
 REMOVED_ATTRIBUTES = [
@@ -15,6 +15,9 @@ REMOVED_ATTRIBUTES = [
     (VermaModule, "act_word"),
     (lie_core, "Rat"),
     (rationals, "Rat"),
+    (tcla.Algebra, "root_space_dim"),
+    (TruncatedAlgebra, "subspace_basis"),
+    (linalg, "invert"),
 ]
 
 

@@ -28,6 +28,12 @@ def test_format():
     assert format_rational(Fraction(0)) == "0"
 
 
+def test_format_past_the_int_digit_limit():
+    # Longer than the interpreter's default limit on int-to-str digits.
+    assert format_rational(Fraction(-(10**5000) - 1, 2)) == "-1" + "0" * 4999 + "1/2"
+    assert format_rational(Fraction(10**5000)) == "1" + "0" * 5000
+
+
 @settings(max_examples=100, derandomize=True)
 @given(st.integers(-10**6, 10**6), st.integers(1, 10**4))
 def test_round_trip(num, den):

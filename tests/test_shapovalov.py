@@ -94,7 +94,7 @@ def test_hankel_law_on_simple_roots():
     rng = random.Random("hankel")
     for name in ("sl2", "sl3", "sl4", "virasoro", "oscillator"):
         base = algebra(name)
-        simple = [r for r, d in base.positive_roots(1) if d == 1]
+        simple = base.positive_roots(1)
         for nilp in (1, 2):
             alg = TruncatedAlgebra(base, nilp)
             for _ in range(3):
@@ -132,8 +132,8 @@ def test_rescaling_preserves_zero_locus():
         base = algebra(name)
         scales = {}
 
-        def scale(alpha, idx):
-            return scales.setdefault((alpha, idx), Fraction(rng.randint(1, 9), rng.randint(1, 5)))
+        def scale(alpha):
+            return scales.setdefault(alpha, Fraction(rng.randint(1, 9), rng.randint(1, 5)))
 
         scaled = RescaledLowering(base, scale)
         chi = Root(coords)
@@ -232,7 +232,7 @@ def test_recursive_matrix_on_rescaled_lowering():
     base = algebra("sl3")
     scales = {}
     scaled = RescaledLowering(
-        base, lambda alpha, idx: scales.setdefault((alpha, idx), Fraction(rng.randint(1, 9), rng.randint(1, 5)))
+        base, lambda alpha: scales.setdefault(alpha, Fraction(rng.randint(1, 9), rng.randint(1, 5)))
     )
     m = VermaModule(TruncatedAlgebra(scaled, 2), rand_weight(rng, base, 2))
     for chi in positive_lattice_points(2, 3):

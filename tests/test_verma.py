@@ -46,7 +46,7 @@ def test_raising_kills_highest_weight_vector():
         alg = TruncatedAlgebra(base, 2)
         m = VermaModule(alg, rand_weight(random.Random("hw:" + name), base, 2))
         v = m.highest_weight_vector()
-        for root, _dim in base.positive_roots(3):
+        for root in base.positive_roots(3):
             for deg in range(3):
                 assert m.act(raising(base, root, deg), v).is_zero
 
