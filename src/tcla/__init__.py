@@ -37,7 +37,7 @@ from .lie_core import (
     VirasoroAlgebra,
     algebra,
 )
-from .shapovalov import ShapovalovMatrix, ascend, matrix_to_json, shapovalov_determinant, shapovalov_matrix
+from .shapovalov import ShapovalovMatrix, ascend, matrix_to_json, shapovalov_matrix
 from .verma import VermaModule
 from .weights import (
     Monomial,
@@ -89,7 +89,6 @@ __all__ = [
     "render_csv",
     "render_svg",
     "scan_reducible",
-    "shapovalov_determinant",
     "shapovalov_matrix",
     "sl3_hyperplanes",
     "virasoro_lines",

@@ -24,7 +24,7 @@ from .criterion import (
 from .current import TruncatedAlgebra
 from .errors import InvalidAlgebraError, TclaError
 from .figures import render_csv, render_svg, sl3_hyperplanes, virasoro_lines
-from .lie_core import BUILTIN_ALGEBRAS, Algebra, Root, algebra
+from .lie_core import BUILTIN_ALGEBRAS, Algebra, Root, algebra, root_label
 from .rationals import format_rational, parse_rational
 from .shapovalov import matrix_to_json, shapovalov_matrix
 from .verma import VermaModule
@@ -41,7 +41,9 @@ def _load_weight(path: str, base: Algebra, nilp: int) -> WeightFunctional:
             doc = json.load(handle)
     except OSError as exc:
         raise InputError(f"cannot read weight file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # Malformed or non-UTF-8 text, an integer past the digit limit, or
+        # nesting past the recursion limit.
         raise InputError(f"weight file {path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or "levels" not in doc:
         raise InputError(f'weight file {path} must be an object with a "levels" list')
@@ -112,18 +114,6 @@ def _threads() -> int:
     return workers
 
 
-def _witness_label(base: Algebra, root: Root) -> str:
-    if base.simple_generator_count == 1:
-        return f"m={root.coords[0]}"
-    terms = []
-    for i, c in enumerate(root.coords):
-        if c == 1:
-            terms.append(f"alpha{i + 1}")
-        elif c:
-            terms.append(f"{c}*alpha{i + 1}")
-    return "+".join(terms)
-
-
 def _emit(text: str, out: str) -> None:
     if out == "-":
         sys.stdout.write(text)
@@ -156,7 +146,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     height = args.max_height if args.max_height is not None else default_scan_height(base)
     verdict = criterion_reducible(weight, alg, _check_at_least("--max-height", height, 1))
     if verdict.reducible:
-        labels = ", ".join(_witness_label(base, w) for w in verdict.witnesses)
+        labels = ", ".join(root_label(base, w) for w in verdict.witnesses)
         noun = "witness" if len(verdict.witnesses) == 1 else "witnesses"
         suffix = ""
         if verdict.scanned_height is not None:

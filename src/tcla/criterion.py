@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .current import TruncatedAlgebra
-from .lie_core import Algebra, Root, algebra
+from .lie_core import Algebra, Root
 from .rationals import format_rational
 from .shapovalov import shapovalov_matrix
 from . import linalg
@@ -174,12 +174,12 @@ def _sample_task(base: Algebra, nilp: int, seed: int, index: int, max_height: in
         top = levels[nilp]
         top[pivot] = -sum(top[j] * h[j] for j in range(len(h)) if j != pivot) / h[pivot]
         witness = alpha.coords
-    return (base.name, nilp, index, kind, levels, witness, max_height)
+    return (base, nilp, index, kind, levels, witness, max_height)
 
 
 def _run_sample(task: tuple) -> dict:
-    name, nilp, index, kind, levels, witness, max_height = task
-    alg = TruncatedAlgebra(algebra(name), nilp)
+    base, nilp, index, kind, levels, witness, max_height = task
+    alg = TruncatedAlgebra(base, nilp)
     weight = WeightFunctional(levels)
     verdict = criterion_reducible(weight, alg, max_height)
     scan = scan_reducible(weight, alg, max_height)
@@ -215,7 +215,9 @@ def cross_validate(
 
     Deterministic for a fixed seed regardless of worker count.  ``workers``
     caps the process pool, which never exceeds the sample count or the
-    core count, since every worker process starts up front.
+    core count, since every worker process starts up front.  Every sample
+    runs on ``base`` itself, so its bracket table serves them all; a pool
+    pickles ``base`` into each task.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")

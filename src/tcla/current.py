@@ -49,7 +49,11 @@ class TruncatedAlgebra:
             )
 
     def bracket(self, x: CurrentElement, y: CurrentElement) -> LinComb:
-        """[a (x) t^i, b (x) t^j] = [a, b] (x) t^(i+j), zero when i+j > N."""
+        """[a (x) t^i, b (x) t^j] = [a, b] (x) t^(i+j), zero when i+j > N.
+
+        [a, b] comes from the base algebra's bracket table.  Both elements
+        are checked here too, because a truncated pair never reaches it.
+        """
         self.check(x)
         self.check(y)
         degree = x.degree + y.degree

@@ -1,5 +1,7 @@
 """Hyperplane arrangements of the reducibility loci, as CSV or SVG.
 
+Each line is the zero set of a coroot, read from the algebra's own
+``coroot`` and ``positive_roots`` and labelled with ``root_label``.
 Coordinates are raw coroot evaluations of the top weight level, so the
 sl3 picture is a sheared version of the usual 60-degree-symmetric drawing
 of the A2 arrangement; no inner product is chosen.  Output is byte-stable
@@ -11,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .lie_core import Algebra, Root, algebra, root_label
 from .rationals import format_rational
 
 Normal = tuple[Fraction, Fraction]
@@ -32,19 +35,21 @@ class LineSet:
             raise ValueError("line normals must be nonzero")
 
 
+def _loci(base: Algebra, roots: list[Root], axes: tuple[str, str]) -> LineSet:
+    """The line where the top weight level kills each root's coroot, with
+    the coroot's Cartan coordinates permuted into the figure's axis order."""
+    order = [base.cartan_names.index(name) for name in axes]
+    lines = tuple(
+        (root_label(base, root), tuple(base.coroot(root)[k] for k in order)) for root in roots
+    )
+    return LineSet(lines=lines, axes=axes, range_halfwidth=Fraction(10))
+
+
 def sl3_hyperplanes() -> LineSet:
     """The three loci where the top weight level kills an sl3 coroot, in
     coordinates (value on h1, value on h2)."""
-    one, zero = Fraction(1), Fraction(0)
-    return LineSet(
-        lines=(
-            ("alpha1", (one, zero)),
-            ("alpha2", (zero, one)),
-            ("alpha1+alpha2", (one, one)),
-        ),
-        axes=("h1", "h2"),
-        range_halfwidth=Fraction(10),
-    )
+    sl3 = algebra("sl3")
+    return _loci(sl3, sl3.positive_roots(), ("h1", "h2"))
 
 
 def virasoro_lines(m_max: int) -> LineSet:
@@ -52,11 +57,8 @@ def virasoro_lines(m_max: int) -> LineSet:
     coordinates (value on c, value on L0).  m and -m give the same line."""
     if m_max < 1:
         raise ValueError("m_max must be >= 1")
-    lines = tuple(
-        (f"m={m}", (Fraction(m**3 - m, 12), Fraction(2 * m)))
-        for m in range(1, m_max + 1)
-    )
-    return LineSet(lines=lines, axes=("c", "L0"), range_halfwidth=Fraction(10))
+    vir = algebra("virasoro")
+    return _loci(vir, vir.positive_roots(m_max), ("c", "L0"))
 
 
 def render_csv(ls: LineSet) -> str:

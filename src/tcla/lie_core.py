@@ -8,6 +8,15 @@ a coroot h_alpha satisfying [x_alpha, y_alpha] = <x_alpha, y_alpha> h_alpha.
 Root spaces are one-dimensional: x_alpha spans g^alpha and y_alpha spans
 g^-alpha, so a root vector is named by its root alone.
 
+The structure constants are data.  ``Algebra.bracket`` is the one bracket:
+it answers from a per-instance table keyed by the pair of basis elements,
+and on a miss validates both elements once, computes the bracket with the
+subclass hook ``_structure`` and stores it.  sl(n) builds a dict from each
+basis element to its matrix units once, in ``__init__``; the Virasoro and
+oscillator constants are closed forms in the mode numbers.  The bracket of
+the truncated current algebra g (x) k[t]/t^(N+1) reads [a, b] off this
+table and only adds the t-degrees.
+
 Built-in conventions
 --------------------
 
@@ -108,6 +117,20 @@ class Root:
 def root_order_key(root: Root) -> tuple:
     """Canonical order on roots: height, then lexicographic-descending coords."""
     return (root.height, tuple(-c for c in root.coords))
+
+
+def root_label(base: "Algebra", root: Root) -> str:
+    """How reports and figures name a root: "m=3" over one simple
+    generator, "alpha1+2*alpha2" over several."""
+    if base.simple_generator_count == 1:
+        return f"m={root.coords[0]}"
+    terms = []
+    for i, c in enumerate(root.coords):
+        if c == 1:
+            terms.append(f"alpha{i + 1}")
+        elif c:
+            terms.append(f"{c}*alpha{i + 1}")
+    return "+".join(terms)
 
 
 @dataclass(frozen=True)
@@ -240,9 +263,10 @@ class LinComb:
 class Algebra:
     """Common surface of the built-in algebras.
 
-    Subclasses fill in the root catalog, the bracket of basis elements,
-    and the pairing data; everything else (validation, dual raising
-    vectors, root functionals) is generic.
+    Subclasses fill in the root catalog, the structure constants of basis
+    elements (``_structure``), and the pairing data; everything else
+    (validation, the bracket table, dual raising vectors, root functionals)
+    is generic.
     """
 
     name: str
@@ -265,11 +289,8 @@ class Algebra:
         """Whether a signed coordinate vector of the right arity is a root."""
         raise NotImplementedError
 
-    def bracket(self, x: BaseElement, y: BaseElement) -> LinComb:
-        """[x, y] of two basis elements, as a LinComb of basis elements.
-
-        Bilinear extension is the caller's duty.
-        """
+    def _structure(self, x: BaseElement, y: BaseElement) -> LinComb:
+        """[x, y] of two basis elements that ``bracket`` has already validated."""
         raise NotImplementedError
 
     def pairing(self, alpha: Root) -> Fraction:
@@ -322,13 +343,32 @@ class Algebra:
                     values[k] += c * action[k]
         return tuple(values)
 
+    def bracket(self, x: BaseElement, y: BaseElement) -> LinComb:
+        """[x, y] of two basis elements, as a LinComb of basis elements.
+
+        Read from the instance's structure-constant table, keyed by the
+        pair.  A miss validates both elements, computes the bracket with
+        ``_structure`` and stores it, so only valid pairs are ever stored
+        and an invalid pair raises on every call.  The returned LinComb is
+        shared, which is safe because LinComb has no mutating method.
+        Bilinear extension is the caller's duty.
+        """
+        table = self.__dict__.setdefault("_brackets", {})
+        hit = table.get((x, y))
+        if hit is not None:
+            return hit
+        self.check_element(x)
+        self.check_element(y)
+        out = table[x, y] = self._structure(x, y)
+        return out
+
     def dual_raising(self, alpha: Root) -> LinComb:
         """x_alpha / <x_alpha, y_alpha>, the raising vector paired to 1 with y_alpha.
 
-        Cached per instance (only valid arguments are ever stored): the
-        Shapovalov builder asks for the same few vectors once per raising
-        action.  The cache is created on first use because subclasses do
-        not call a common ``__init__``.
+        Cached per instance like ``bracket`` (only valid arguments are ever
+        stored): the Shapovalov builder asks for the same few vectors once
+        per raising action.  Both caches are created on first use because
+        subclasses do not call a common ``__init__``.
         """
         cache = self.__dict__.setdefault("_dual_raising", {})
         hit = cache.get(alpha)
@@ -374,34 +414,29 @@ class SpecialLinear(Algebra):
         self.cartan_names = tuple(f"h{k + 1}" for k in range(n - 1))
         self.simple_generator_count = n - 1
         self.finite_roots = True
-        self._roots = sorted(
-            (self._run_root(i, j) for i in range(n) for j in range(i + 1, n)),
-            key=root_order_key,
-        )
-
-    def _run_root(self, i: int, j: int) -> Root:
-        # alpha_ij = alpha_i + ... + alpha_{j-1}
-        return Root(tuple(1 if i <= k < j else 0 for k in range(self.n - 1)))
-
-    def _root_to_pair(self, root: Root) -> tuple[int, int] | None:
-        """(i, j) with the root-space vector E[i][j]; None if not a root."""
-        coords = root.coords
-        if len(coords) != self.n - 1:
-            return None
-        sign = 1 if any(c > 0 for c in coords) else -1
-        ones = [k for k, c in enumerate(coords) if c == sign]
-        if not ones or any(c not in (0, sign) for c in coords):
-            return None
-        lo, hi = ones[0], ones[-1]
-        if ones != list(range(lo, hi + 1)):
-            return None
-        return (lo, hi + 1) if sign > 0 else (hi + 1, lo)
+        # Each basis element's matrix units, and the inverse for the
+        # off-diagonal units.
+        self._units: dict[BaseElement, dict[tuple[int, int], Fraction]] = {
+            BaseElement.cartan(k): {(k, k): Fraction(1), (k + 1, k + 1): Fraction(-1)}
+            for k in range(n - 1)
+        }
+        self._elements: dict[tuple[int, int], BaseElement] = {}
+        roots = []
+        for i in range(n):
+            for j in range(i + 1, n):
+                # alpha_ij = alpha_i + ... + alpha_{j-1}, the root of E[i][j]
+                root = Root(tuple(1 if i <= k < j else 0 for k in range(n - 1)))
+                roots.append(root)
+                for signed, unit in ((root, (i, j)), (-root, (j, i))):
+                    x = self._elements[unit] = BaseElement.of_root(signed)
+                    self._units[x] = {unit: Fraction(1)}
+        self._roots = sorted(roots, key=root_order_key)
 
     def positive_roots(self, max_height: int | None = None) -> list[Root]:
         return [r for r in self._roots if max_height is None or r.height <= max_height]
 
     def is_root(self, root: Root) -> bool:
-        return self._root_to_pair(root) is not None
+        return BaseElement.of_root(root) in self._units
 
     def simple_root_action(self, s: int) -> CartanVector:
         # Cartan matrix of type A: alpha_s(h_k).
@@ -410,41 +445,20 @@ class SpecialLinear(Algebra):
             for k in range(self.cartan_rank)
         )
 
-    def _units_of(self, x: BaseElement) -> dict[tuple[int, int], Fraction]:
-        if x.root is None:
-            k = x.index
-            return {(k, k): Fraction(1), (k + 1, k + 1): Fraction(-1)}
-        pair = self._root_to_pair(x.root)
-        assert pair is not None
-        return {pair: Fraction(1)}
-
-    def _from_units(self, units: dict[tuple[int, int], Fraction]) -> LinComb:
-        terms: list[tuple[BaseElement, Fraction]] = []
-        diag = [units.get((i, i), Fraction(0)) for i in range(self.n)]
-        assert sum(diag) == 0, "commutator of traceless matrices must be traceless"
-        partial = Fraction(0)
-        for k in range(self.n - 1):
-            partial += diag[k]
-            if partial:
-                terms.append((BaseElement.cartan(k), partial))
-        for (i, j), c in units.items():
-            if i != j and c:
-                root = self._run_root(i, j) if i < j else -self._run_root(j, i)
-                terms.append((BaseElement.of_root(root), c))
-        return LinComb(terms)
-
-    def bracket(self, x: BaseElement, y: BaseElement) -> LinComb:
-        self.check_element(x)
-        self.check_element(y)
-        out: dict[tuple[int, int], Fraction] = {}
-        for (a, b), cx in self._units_of(x).items():
-            for (c, d), cy in self._units_of(y).items():
-                coeff = cx * cy
+    def _structure(self, x: BaseElement, y: BaseElement) -> LinComb:
+        units: dict[tuple[int, int], Fraction] = {}
+        for (a, b), cx in self._units[x].items():
+            for (c, d), cy in self._units[y].items():
                 if b == c:
-                    out[(a, d)] = out.get((a, d), Fraction(0)) + coeff
+                    units[a, d] = units.get((a, d), 0) + cx * cy
                 if d == a:
-                    out[(c, b)] = out.get((c, b), Fraction(0)) - coeff
-        return self._from_units(out)
+                    units[c, b] = units.get((c, b), 0) - cx * cy
+        # The traceless diagonal expands over the h_k with partial sums.
+        diagonal = [units.get((k, k), 0) for k in range(self.n)]
+        assert sum(diagonal) == 0, "commutator of traceless matrices must be traceless"
+        terms = [(BaseElement.cartan(k), sum(diagonal[: k + 1])) for k in range(self.n - 1)]
+        terms += [(self._elements[u], c) for u, c in units.items() if u[0] != u[1]]
+        return LinComb(terms)
 
     def pairing(self, alpha: Root) -> Fraction:
         self.check_positive_root(alpha)
@@ -456,50 +470,47 @@ class SpecialLinear(Algebra):
         return tuple(Fraction(c) for c in alpha.coords)
 
 
-class VirasoroAlgebra(Algebra):
-    """The Virasoro algebra: L_m (m integer) plus a central charge element."""
+class _RankOne(Algebra):
+    """Root catalog of the rank-1 built-ins: one simple generator, and every
+    nonzero multiple m * alpha1 is a root."""
 
-    name = "virasoro"
-    cartan_rank = 2
-    cartan_names = ("L0", "c")
     simple_generator_count = 1
     finite_roots = False
 
     def positive_roots(self, max_height: int | None = None) -> list[Root]:
         if max_height is None:
-            raise ValueError("virasoro has infinitely many positive roots; give a height bound")
+            raise ValueError(f"{self.name} has infinitely many positive roots; give a height bound")
         return [Root((m,)) for m in range(1, max_height + 1)]
 
     def is_root(self, root: Root) -> bool:
         return len(root.coords) == 1 and root.coords[0] != 0
 
+
+class VirasoroAlgebra(_RankOne):
+    """The Virasoro algebra: L_m (m integer) plus a central charge element."""
+
+    name = "virasoro"
+    cartan_rank = 2
+    cartan_names = ("L0", "c")
+
     def simple_root_action(self, s: int) -> CartanVector:
         # [L0, L_m] = -m L_m, [c, L_m] = 0.
         return (Fraction(-1), Fraction(0))
 
-    def _mode(self, x: BaseElement) -> tuple[str, int]:
+    @staticmethod
+    def _mode(x: BaseElement) -> int | None:
+        """m for L_m (L0 is Cartan vector 0), None for the central c."""
         if x.root is not None:
-            return ("L", x.root.coords[0])
-        return ("L", 0) if x.index == 0 else ("c", 0)
+            return x.root.coords[0]
+        return 0 if x.index == 0 else None
 
-    def _encode(self, m: int) -> BaseElement:
-        return BaseElement.cartan(0) if m == 0 else BaseElement.of_root(Root((m,)))
-
-    def bracket(self, x: BaseElement, y: BaseElement) -> LinComb:
-        self.check_element(x)
-        self.check_element(y)
-        kx, m = self._mode(x)
-        ky, n = self._mode(y)
-        if kx == "c" or ky == "c":
+    def _structure(self, x: BaseElement, y: BaseElement) -> LinComb:
+        m, n = self._mode(x), self._mode(y)
+        if m is None or n is None:
             return LinComb()
-        terms: list[tuple[BaseElement, Fraction]] = []
-        if m != n:
-            terms.append((self._encode(m + n), Fraction(m - n)))
-        if m == -n:
-            central = Fraction(m**3 - m, 12)
-            if central:
-                terms.append((BaseElement.cartan(1), central))
-        return LinComb(terms)
+        if m != -n:
+            return LinComb.term(BaseElement.of_root(Root((m + n,))), m - n)
+        return LinComb([(BaseElement.cartan(0), m - n), (BaseElement.cartan(1), Fraction(m**3 - m, 12))])
 
     def pairing(self, alpha: Root) -> Fraction:
         self.check_positive_root(alpha)
@@ -515,7 +526,7 @@ class VirasoroAlgebra(Algebra):
         # odd in m, so negative solutions mirror positive ones).
         x, y = top
         if x == 0 and y == 0:
-            return [Root((m,)) for m in range(1, max_height + 1)], max_height
+            return self.positive_roots(max_height), max_height
         if y == 0:
             return [], None
         q = 1 - 24 * x / y  # m^2 for any nonzero root of the cubic
@@ -526,7 +537,7 @@ class VirasoroAlgebra(Algebra):
         return [], None
 
 
-class OscillatorAlgebra(Algebra):
+class OscillatorAlgebra(_RankOne):
     """Oscillator algebra: a_m (m nonzero) with [a_m, a_-m] = m hbar and a
     grading element d.  The Heisenberg core is extended by d so that the
     Cartan action has nontrivial eigenvalues."""
@@ -534,42 +545,21 @@ class OscillatorAlgebra(Algebra):
     name = "oscillator"
     cartan_rank = 2
     cartan_names = ("d", "hbar")
-    simple_generator_count = 1
-    finite_roots = False
-
-    def positive_roots(self, max_height: int | None = None) -> list[Root]:
-        if max_height is None:
-            raise ValueError("oscillator has infinitely many positive roots; give a height bound")
-        return [Root((m,)) for m in range(1, max_height + 1)]
-
-    def is_root(self, root: Root) -> bool:
-        return len(root.coords) == 1 and root.coords[0] != 0
 
     def simple_root_action(self, s: int) -> CartanVector:
         # [d, a_m] = m a_m, [hbar, a_m] = 0.
         return (Fraction(1), Fraction(0))
 
-    def bracket(self, x: BaseElement, y: BaseElement) -> LinComb:
-        self.check_element(x)
-        self.check_element(y)
-
-        def mode(z: BaseElement) -> tuple[str, int]:
-            if z.root is not None:
-                return ("a", z.root.coords[0])
-            return ("d", 0) if z.index == 0 else ("hbar", 0)
-
-        kx, m = mode(x)
-        ky, n = mode(y)
-        if kx == "hbar" or ky == "hbar":
-            return LinComb()
-        if kx == "d" and ky == "d":
-            return LinComb()
-        if kx == "d":
-            return LinComb.term(BaseElement.of_root(Root((n,))), n)
-        if ky == "d":
-            return LinComb.term(BaseElement.of_root(Root((m,))), -m)
-        if m == -n:
-            return LinComb.term(BaseElement.cartan(1), m)
+    def _structure(self, x: BaseElement, y: BaseElement) -> LinComb:
+        # d is Cartan vector 0 and hbar (index 1) is central.
+        d = BaseElement.cartan(0)
+        if x.root is not None and y.root is not None:
+            m, n = x.root.coords[0], y.root.coords[0]
+            return LinComb.term(BaseElement.cartan(1), m) if m == -n else LinComb()
+        if x == d and y.root is not None:
+            return LinComb.term(y, y.root.coords[0])
+        if y == d and x.root is not None:
+            return LinComb.term(x, -x.root.coords[0])
         return LinComb()
 
     def pairing(self, alpha: Root) -> Fraction:
@@ -583,7 +573,7 @@ class OscillatorAlgebra(Algebra):
     def coroot_zeros(self, top: CartanVector, max_height: int) -> tuple[list[Root], int | None]:
         # Every coroot is hbar: all positive roots qualify, or none does.
         if top[1] == 0:
-            return [Root((m,)) for m in range(1, max_height + 1)], max_height
+            return self.positive_roots(max_height), max_height
         return [], None
 
 
@@ -622,7 +612,7 @@ class RescaledLowering(Algebra):
     def simple_root_action(self, s: int) -> CartanVector:
         return self.base.simple_root_action(s)
 
-    def bracket(self, x: BaseElement, y: BaseElement) -> LinComb:
+    def _structure(self, x: BaseElement, y: BaseElement) -> LinComb:
         raw = self.base.bracket(x, y)
         s = self._factor(x) * self._factor(y)
         return LinComb((z, s * c / self._factor(z)) for z, c in raw.items())

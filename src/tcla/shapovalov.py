@@ -130,10 +130,6 @@ def shapovalov_matrix(
     return ShapovalovMatrix(chi=chi, monomials=monos, entries=[[entries[a][b] for b in order] for a in order])
 
 
-def shapovalov_determinant(module: VermaModule, chi: Root) -> Fraction:
-    return linalg.determinant(shapovalov_matrix(module, chi).entries)
-
-
 def matrix_to_json(matrix: ShapovalovMatrix, det: Fraction | None = None) -> dict:
     """JSON-ready form: rationals as "p/q" strings, monomials as text."""
     if det is None:

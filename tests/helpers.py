@@ -14,7 +14,9 @@ from tcla import (
     TruncatedAlgebra,
     VermaModule,
     WeightFunctional,
+    linalg,
     monomial_weight,
+    shapovalov_matrix,
 )
 
 
@@ -76,6 +78,11 @@ def rand_vector(
 def vector_weights(v: LinComb, generators: int) -> set[Root]:
     """The weight drops of the monomials a Verma-module vector involves."""
     return {monomial_weight(mono, generators) for mono in v.keys()}
+
+
+def determinant_at(module: VermaModule, chi: Root) -> Fraction:
+    """Exact determinant of the Shapovalov matrix at weight drop chi."""
+    return linalg.determinant(shapovalov_matrix(module, chi).entries)
 
 
 def bracket_ext(base: Algebra, x: LinComb, y: LinComb) -> LinComb:

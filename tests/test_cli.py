@@ -199,6 +199,34 @@ def test_scan_json_into_missing_directory_exit_code(tmp_path, capsys):
     assert_input_error(capsys, code)
 
 
+def test_weight_file_not_utf8_exit_code(tmp_path, capsys):
+    lam = tmp_path / "lambda.json"
+    lam.write_bytes(b"\xff\xfe{}")
+    code = main(["check", "--algebra", "sl2", "--nilp", "1", "--lambda", str(lam)])
+    assert_input_error(capsys, code)
+
+
+def test_weight_file_nested_past_the_recursion_limit_exit_code(tmp_path, capsys):
+    lam = tmp_path / "lambda.json"
+    lam.write_text("[" * 100_000, encoding="utf-8")
+    code = main(["check", "--algebra", "sl2", "--nilp", "1", "--lambda", str(lam)])
+    assert_input_error(capsys, code)
+
+
+def test_weight_file_integer_past_the_digit_limit_exit_code(tmp_path, capsys):
+    lam = tmp_path / "lambda.json"
+    lam.write_text('{"levels": [{"h1": ' + "9" * 5000 + "}, {}]}", encoding="utf-8")
+    code = main(["check", "--algebra", "sl2", "--nilp", "1", "--lambda", str(lam)])
+    assert_input_error(capsys, code)
+
+
+def test_shapovalov_at_chi_zero_is_the_highest_weight_space(tmp_path, capsys):
+    lam = write_weight(tmp_path, SL2_WEIGHT)
+    code = main(["shapovalov", "--algebra", "sl2", "--nilp", "1", "--lambda", lam, "--chi", "0"])
+    assert code == 0
+    assert capsys.readouterr().out == "chi=(0) size=1\n[1]\ndet = 1\n"
+
+
 def test_scan_prints_determinants_past_the_int_digit_limit(tmp_path, capsys):
     # Determinants of 1500-digit levels run past the interpreter's default
     # limit on int-to-str digits; the scan still prints them exactly.

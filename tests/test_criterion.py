@@ -212,6 +212,17 @@ def test_cross_validate_is_deterministic():
     assert doc["agreements"] == 6
 
 
+def test_cross_validate_uses_the_algebra_it_is_given():
+    # A rescaled algebra has no catalog name, so the samples must run on the
+    # object itself; rescaling leaves every zero where it was.
+    scaled = RescaledLowering(algebra("sl3"), lambda a: Fraction(a.height + 1))
+    report = cross_validate(scaled, 1, 2, 0, 2)
+    assert report.algebra == "sl3[rescaled]"
+    assert report.agreements == 2 and report.disagreements == []
+    plain = cross_validate(algebra("sl3"), 1, 2, 0, 2)
+    assert [r["zero_chis"] for r in report.records] == [r["zero_chis"] for r in plain.records]
+
+
 def test_cross_validate_parallel_matches_serial():
     serial = cross_validate(algebra("sl2"), 2, 8, seed=3, max_height=2, workers=1)
     parallel = cross_validate(algebra("sl2"), 2, 8, seed=3, max_height=2, workers=2)

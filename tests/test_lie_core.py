@@ -63,6 +63,74 @@ def test_bracket_rejects_unknown_elements():
         SL2.bracket(SL2.cartan_element(0), BaseElement.cartan(5))
     with pytest.raises(UnknownElementError):  # root spaces are one-dimensional
         SL2.bracket(BaseElement(ALPHA, 1), SL2.cartan_element(0))
+    # Rejections are never stored: the same invalid pair raises again, and a
+    # valid pair asked for after a rejection still gets its bracket.
+    for base, x, y in [
+        (SL3, bad, SL3.cartan_element(0)),
+        (SL3, SL3.cartan_element(0), bad),
+        (VIR, VIR.cartan_element(0), BaseElement.cartan(2)),
+        (OSC, BaseElement.of_root(Root((0,))), OSC.cartan_element(0)),
+    ]:
+        for _ in range(2):
+            with pytest.raises(UnknownElementError):
+                base.bracket(x, y)
+    e1 = SL3.root_element(Root((1, 0)))
+    e2 = SL3.root_element(Root((0, 1)))
+    assert SL3.bracket(e1, e2) == LinComb.term(SL3.root_element(Root((1, 1))))
+    assert SL3.bracket(e1, e2) == LinComb.term(SL3.root_element(Root((1, 1))))
+
+
+# -- sl(n) against its matrices ---------------------------------------------------
+
+
+def _run_root(n, i, j):
+    """alpha_i + ... + alpha_{j-1}, the root of E[i][j] for i < j."""
+    return Root(tuple(1 if i <= k < j else 0 for k in range(n - 1)))
+
+
+def _matrix(n, x):
+    """The n x n matrix of a basis element, per the documented convention:
+    h_k = E[k][k] - E[k+1][k+1], and the root vector of +-alpha_ij is E[i][j]
+    or E[j][i]."""
+    m = [[Fraction(0)] * n for _ in range(n)]
+    if x.root is None:
+        m[x.index][x.index] = Fraction(1)
+        m[x.index + 1][x.index + 1] = Fraction(-1)
+        return m
+    for i in range(n):
+        for j in range(i + 1, n):
+            if x.root == _run_root(n, i, j):
+                m[i][j] = Fraction(1)
+            elif x.root == -_run_root(n, i, j):
+                m[j][i] = Fraction(1)
+    return m
+
+
+def _in_basis(n, m):
+    """A traceless matrix as a LinComb of basis elements: each off-diagonal
+    entry is a root vector's coefficient, and the diagonal is the sum of
+    c_k h_k with c_k the partial sums of the diagonal entries."""
+    terms = [(BaseElement.cartan(k), sum(m[i][i] for i in range(k + 1))) for k in range(n - 1)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            terms.append((BaseElement.of_root(_run_root(n, i, j)), m[i][j]))
+            terms.append((BaseElement.of_root(-_run_root(n, i, j)), m[j][i]))
+    return LinComb(terms)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_sl_bracket_is_the_matrix_commutator(n):
+    base = algebra(f"sl{n}")
+    elems = basis_sample(base, n)
+    assert len(elems) == n * n - 1
+    for x in elems:
+        a = _matrix(n, x)
+        for y in elems:
+            b = _matrix(n, y)
+            ab = [[sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+            ba = [[sum(b[i][k] * a[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+            commutator = [[ab[i][j] - ba[i][j] for j in range(n)] for i in range(n)]
+            assert base.bracket(x, y) == _in_basis(n, commutator), (x, y)
 
 
 def test_coroot_examples():

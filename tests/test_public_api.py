@@ -2,9 +2,11 @@
 the API removed as unused stays removed."""
 
 import tcla
-from tcla import TruncatedAlgebra, VermaModule, WeightFunctional, lie_core, linalg, rationals
+from tcla import TruncatedAlgebra, VermaModule, WeightFunctional, lie_core, linalg, rationals, shapovalov
 
-REMOVED_EXPORTS = ("VermaVector", "canonical_monomial", "enumerate_positive_roots", "render", "Rat")
+REMOVED_EXPORTS = (
+    "VermaVector", "canonical_monomial", "enumerate_positive_roots", "render", "Rat", "shapovalov_determinant",
+)
 REMOVED_ATTRIBUTES = [
     (tcla.Algebra, "element_label"),
     (TruncatedAlgebra, "element"),
@@ -18,6 +20,7 @@ REMOVED_ATTRIBUTES = [
     (tcla.Algebra, "root_space_dim"),
     (TruncatedAlgebra, "subspace_basis"),
     (linalg, "invert"),
+    (shapovalov, "shapovalov_determinant"),
 ]
 
 

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from helpers import lowering, rand_weight
+from helpers import determinant_at, lowering, rand_weight
 from tcla import (
     RescaledLowering,
     Root,
@@ -16,7 +16,6 @@ from tcla import (
     enumerate_monomials,
     matrix_to_json,
     positive_lattice_points,
-    shapovalov_determinant,
     shapovalov_matrix,
 )
 from tcla import linalg
@@ -46,7 +45,7 @@ def test_sl2_hand_oracle_matrix():
     f0, f1 = lowering(m.alg.base, ALPHA, 0), lowering(m.alg.base, ALPHA, 1)
     assert mat.monomials == [(f0,), (f1,)]
     assert mat.entries == [[5, 3], [3, 0]]
-    assert shapovalov_determinant(m, ALPHA) == -9
+    assert determinant_at(m, ALPHA) == -9
 
 
 def test_chi_zero_matrix():
@@ -54,7 +53,7 @@ def test_chi_zero_matrix():
     mat = shapovalov_matrix(m, Root((0,)))
     assert mat.monomials == [()]
     assert mat.entries == [[1]]
-    assert shapovalov_determinant(m, Root((0,))) == 1
+    assert determinant_at(m, Root((0,))) == 1
 
 
 def test_virasoro_hand_oracle_matrix():
@@ -63,7 +62,7 @@ def test_virasoro_hand_oracle_matrix():
     m = VermaModule(alg, WeightFunctional([(1, 0), (Fraction(1, 2), 0)]))
     mat = shapovalov_matrix(m, ALPHA)
     assert mat.entries == [[2, 1], [1, 0]]
-    assert shapovalov_determinant(m, ALPHA) == -1
+    assert determinant_at(m, ALPHA) == -1
 
 
 def test_sl2_two_alpha_hand_oracle():
@@ -73,14 +72,14 @@ def test_sl2_two_alpha_hand_oracle():
     m = sl2_module()
     mat = shapovalov_matrix(m, Root((2,)))
     assert mat.entries == [[40, 24, 18], [24, 9, 0], [18, 0, 0]]
-    assert shapovalov_determinant(m, Root((2,))) == -2916
+    assert determinant_at(m, Root((2,))) == -2916
 
     rng = random.Random("2alpha")
     for _ in range(10):
         w = rand_weight(rng, algebra("sl2"), 1)
         mm = VermaModule(TruncatedAlgebra(algebra("sl2"), 1), w)
         b = w.evaluate((1,), 1)
-        assert shapovalov_determinant(mm, Root((2,))) == -4 * b**6
+        assert determinant_at(mm, Root((2,))) == -4 * b**6
 
 
 def hankel_sign(nilp):
@@ -140,8 +139,8 @@ def test_rescaling_preserves_zero_locus():
         ratios = set()
         for _ in range(3):
             w = rand_weight(rng, base, 1)
-            det = shapovalov_determinant(VermaModule(TruncatedAlgebra(base, 1), w), chi)
-            det_scaled = shapovalov_determinant(VermaModule(TruncatedAlgebra(scaled, 1), w), chi)
+            det = determinant_at(VermaModule(TruncatedAlgebra(base, 1), w), chi)
+            det_scaled = determinant_at(VermaModule(TruncatedAlgebra(scaled, 1), w), chi)
             assert (det == 0) == (det_scaled == 0)
             if det:
                 ratios.add(det_scaled / det)
@@ -150,7 +149,7 @@ def test_rescaling_preserves_zero_locus():
             assert next(iter(ratios)) != 0
         # a reducible weight stays degenerate in the rescaled basis
         top_zero = WeightFunctional([rand_weight(rng, base, 1).levels[0], (0,) * base.cartan_rank])
-        det0 = shapovalov_determinant(VermaModule(TruncatedAlgebra(scaled, 1), top_zero), chi)
+        det0 = determinant_at(VermaModule(TruncatedAlgebra(scaled, 1), top_zero), chi)
         assert det0 == 0
 
 
