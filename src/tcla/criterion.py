@@ -21,7 +21,6 @@ from __future__ import annotations
 import json
 import os
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -202,6 +201,19 @@ def _run_sample(task: tuple) -> dict:
     }
 
 
+# The samples of the current pool, set in each worker by _init_worker.
+_worker_tasks: list[tuple] = []
+
+
+def _init_worker(tasks: list[tuple]) -> None:
+    global _worker_tasks
+    _worker_tasks = tasks
+
+
+def _run_worker_sample(index: int) -> dict:
+    return _run_sample(_worker_tasks[index])
+
+
 def cross_validate(
     base: Algebra,
     nilp: int,
@@ -216,8 +228,11 @@ def cross_validate(
     Deterministic for a fixed seed regardless of worker count.  ``workers``
     caps the process pool, which never exceeds the sample count or the
     core count, since every worker process starts up front.  Every sample
-    runs on ``base`` itself, so its bracket table serves them all; a pool
-    pickles ``base`` into each task.
+    runs on ``base`` itself, so its bracket table serves them all.  A pool
+    hands the whole sample list to each worker once, through the worker
+    initializer, and then sends only sample indices: forked workers
+    inherit the list, and under spawn or forkserver it is pickled once per
+    worker.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -226,8 +241,10 @@ def cross_validate(
     tasks = [_sample_task(base, nilp, seed, i, max_height) for i in range(samples)]
     workers = min(workers, samples, os.cpu_count() or 1)
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(_run_sample, tasks))
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker, initargs=(tasks,)) as pool:
+            records = list(pool.map(_run_worker_sample, range(samples)))
     else:
         records = [_run_sample(t) for t in tasks]
     disagreements = [rec["index"] for rec in records if not rec["agree"]]

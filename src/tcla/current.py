@@ -6,14 +6,13 @@ degrees and truncates to zero past the nilpotency order N.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InvalidAlgebraError, UnknownElementError
 from .lie_core import Algebra, BaseElement, LinComb
 
 
-@dataclass(frozen=True)
-class CurrentElement:
+class CurrentElement(NamedTuple):
     """Basis element x (x) t^degree of a truncated current algebra."""
 
     elem: BaseElement
@@ -60,7 +59,7 @@ class TruncatedAlgebra:
         if degree > self.nilp:
             return LinComb()
         base = self.base.bracket(x.elem, y.elem)
-        return base.map_keys(lambda be: CurrentElement(be, degree))
+        return LinComb.wrap({CurrentElement(z, degree): c for z, c in base.items()})
 
     def __repr__(self) -> str:
         return f"<{self.base.name} (x) k[t]/t^{self.nilp + 1}>"

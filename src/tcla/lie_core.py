@@ -44,18 +44,20 @@ Built-in conventions
     [a_m, a_n] = m delta_{m,-n} hbar, and hbar is central.  Pairing
     <a_m, a_-m> = m, so the coroot of every positive root is hbar.
 
-Roots are stored as signed integer coordinate vectors over the simple
-generators; positive roots have all coordinates >= 0.  The canonical
-order on positive roots is (height ascending, coordinates lexicographic
-descending), which for sl3 lists alpha1, alpha2, alpha1+alpha2.
+The value types ``Root`` and ``BaseElement`` (and ``CurrentElement`` in
+``current``) are NamedTuples, so the memo and table lookups that key on
+them hash and compare natively.  A root's ``coords`` is a tuple of ints,
+its signed coordinates over the simple generators; positive roots have
+all coordinates >= 0.  The canonical order on positive roots is (height
+ascending, coordinates lexicographic descending), which for sl3 lists
+alpha1, alpha2, alpha1+alpha2.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .errors import (
     InvalidAlgebraError,
@@ -67,14 +69,16 @@ from .errors import (
 CartanVector = tuple[Fraction, ...]
 
 
-@dataclass(frozen=True)
-class Root:
-    """Element of the root lattice, as coordinates over the simple generators."""
+class Root(NamedTuple):
+    """Element of the root lattice: ``coords`` is a tuple of ints, the
+    coordinates over the simple generators.
+
+    A NamedTuple, so hashing and equality are the tuple's own.  ``+``,
+    ``-``, unary ``-`` and ``k * r`` are redefined as vector arithmetic,
+    not tuple concatenation and repetition.
+    """
 
     coords: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "coords", tuple(int(c) for c in self.coords))
 
     @staticmethod
     def zero(generators: int) -> "Root":
@@ -133,8 +137,7 @@ def root_label(base: "Algebra", root: Root) -> str:
     return "+".join(terms)
 
 
-@dataclass(frozen=True)
-class BaseElement:
+class BaseElement(NamedTuple):
     """Basis element of g: the ``index``-th Cartan vector (root None) or the
     vector spanning the root space of ``root`` (index 0)."""
 
@@ -159,6 +162,15 @@ class BaseElement:
         return f"x{self.root}"
 
 
+def add_term(acc: dict, key, c: Fraction) -> None:
+    """Add ``c`` at ``key`` of the sparse sum ``acc``; drop the key if it cancels."""
+    c += acc.get(key, 0)
+    if c:
+        acc[key] = c
+    else:
+        acc.pop(key, None)
+
+
 class LinComb:
     """Sparse exact-rational linear combination of hashable keys.
 
@@ -175,11 +187,7 @@ class LinComb:
         acc: dict = {}
         items = terms.items() if hasattr(terms, "items") else terms
         for key, coeff in items:
-            c = acc.get(key, Fraction(0)) + Fraction(coeff)
-            if c:
-                acc[key] = c
-            elif key in acc:
-                del acc[key]
+            add_term(acc, key, Fraction(coeff))
         self._terms = acc
 
     @classmethod
@@ -216,11 +224,7 @@ class LinComb:
     def __add__(self, other: "LinComb") -> "LinComb":
         out = dict(self._terms)
         for key, coeff in other._terms.items():
-            c = out.get(key, Fraction(0)) + coeff
-            if c:
-                out[key] = c
-            elif key in out:
-                del out[key]
+            add_term(out, key, coeff)
         return LinComb.wrap(out)
 
     def __sub__(self, other: "LinComb") -> "LinComb":
@@ -239,20 +243,6 @@ class LinComb:
 
     def __eq__(self, other) -> bool:
         return isinstance(other, LinComb) and self._terms == other._terms
-
-    def map_keys(self, fn: Callable) -> "LinComb":
-        """Apply fn to every key; keys mapped to None are dropped."""
-        out: dict = {}
-        for key, coeff in self._terms.items():
-            new = fn(key)
-            if new is None:
-                continue
-            c = out.get(new, Fraction(0)) + coeff
-            if c:
-                out[new] = c
-            elif new in out:
-                del out[new]
-        return LinComb.wrap(out)
 
     def __repr__(self) -> str:
         if not self._terms:

@@ -18,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .current import CurrentElement, TruncatedAlgebra
-from .lie_core import LinComb, Root
+from .lie_core import LinComb, Root, add_term
 from .weights import Monomial, WeightFunctional, factor_key
 
 _ONE = Fraction(1)
@@ -56,11 +56,7 @@ class VermaModule:
         out: Terms = {}
         for mono, coeff in v.items():
             for m2, c2 in self._act_mono(x, mono).items():
-                c = out.get(m2, Fraction(0)) + coeff * c2
-                if c:
-                    out[m2] = c
-                elif m2 in out:
-                    del out[m2]
+                add_term(out, m2, coeff * c2)
         return LinComb.wrap(out)
 
     def descend(self, mono: Monomial) -> LinComb:
@@ -96,18 +92,10 @@ class VermaModule:
             acc: Terms = {}
             for m2, c2 in self._act_mono(x, rest).items():
                 for m3, c3 in self._act_mono(f0, m2).items():
-                    c = acc.get(m3, Fraction(0)) + c2 * c3
-                    if c:
-                        acc[m3] = c
-                    elif m3 in acc:
-                        del acc[m3]
+                    add_term(acc, m3, c2 * c3)
             for z, cz in self.alg.bracket(x, f0).items():
                 for m3, c3 in self._act_mono(z, rest).items():
-                    c = acc.get(m3, Fraction(0)) + cz * c3
-                    if c:
-                        acc[m3] = c
-                    elif m3 in acc:
-                        del acc[m3]
+                    add_term(acc, m3, cz * c3)
             out = acc
 
         self._memo[key] = out

@@ -88,8 +88,7 @@ def factor_key(x: CurrentElement) -> tuple:
     (root height, root coords lex-descending, t-degree)."""
     root = x.elem.root
     assert root is not None
-    pos = -root
-    return (pos.height, tuple(-c for c in pos.coords), x.degree)
+    return (-root.height, root.coords, x.degree)
 
 
 def monomial_weight(mono: Monomial, generators: int) -> Root:

@@ -254,3 +254,14 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert "sl2" in proc.stdout
+
+
+def test_importing_the_cli_leaves_the_process_pool_unloaded():
+    # validate imports concurrent.futures only when it starts a pool.
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, tcla.cli; print('concurrent.futures' in sys.modules)"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"

@@ -1,5 +1,6 @@
 """Reducibility criterion, determinant scan, and the validation harness."""
 
+import concurrent.futures
 import json
 import random
 from fractions import Fraction
@@ -229,13 +230,25 @@ def test_cross_validate_parallel_matches_serial():
     assert report_json_bytes(serial) == report_json_bytes(parallel)
 
 
+def test_pool_runs_an_algebra_that_cannot_be_pickled(monkeypatch):
+    # The lambda scale makes the algebra unpicklable, so the pool must not
+    # pickle the samples into its tasks.  Two cores make a real pool start.
+    monkeypatch.setattr(criterion.os, "cpu_count", lambda: 2)
+    scaled = RescaledLowering(algebra("sl3"), lambda a: Fraction(a.height + 1))
+    pooled = cross_validate(scaled, 1, 2, 0, 2, workers=2)
+    assert pooled.agreements == 2
+    assert report_json_bytes(pooled) == report_json_bytes(cross_validate(scaled, 1, 2, 0, 2))
+
+
 def test_worker_pool_is_capped_by_samples_and_cores(monkeypatch):
-    # A stand-in pool records its size and runs in-process: no worker starts.
+    # A stand-in pool records its size and runs its initializer and the
+    # samples in-process, as a worker would: no worker starts.
     sizes = []
 
     class RecordingPool:
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, initializer, initargs):
             sizes.append(max_workers)
+            initializer(*initargs)
 
         def __enter__(self):
             return self
@@ -246,7 +259,7 @@ def test_worker_pool_is_capped_by_samples_and_cores(monkeypatch):
         def map(self, fn, tasks):
             return map(fn, tasks)
 
-    monkeypatch.setattr(criterion, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(criterion.os, "cpu_count", lambda: 4)
     monkeypatch.setenv("TCLA_THREADS", "abc")  # read by the CLI only
     base = algebra("sl2")

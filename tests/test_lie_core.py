@@ -1,5 +1,6 @@
 """Structure constants, pairings and root catalogs of the built-in algebras."""
 
+import pickle
 import random
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from helpers import basis_sample, bracket_ext
 from tcla import (
     BUILTIN_ALGEBRAS,
     BaseElement,
+    CurrentElement,
     LinComb,
     NotARootError,
     RescaledLowering,
@@ -35,6 +37,33 @@ def test_catalog():
         assert algebra(name).name == name
     with pytest.raises(UnknownAlgebraError):
         algebra("e8")
+
+
+def test_value_types_are_tuples_with_vector_roots():
+    # Equal values built apart compare and hash equal, and survive the
+    # pickling a process pool applies.
+    for build in (
+        lambda: Root((1, 2)),
+        lambda: BaseElement.of_root(Root((1, 2))),
+        lambda: BaseElement.cartan(1),
+        lambda: CurrentElement(BaseElement.of_root(Root((-1, 0))), 1),
+    ):
+        a, b = build(), build()
+        assert a is not b and a == b and hash(a) == hash(b)
+        c = pickle.loads(pickle.dumps(a))
+        assert type(c) is type(a) and c == a
+    # Vector arithmetic, not tuple concatenation or repetition.
+    r, s = Root((1, 2)), Root((0, 1))
+    results = [r + s, r - s, -r, 3 * r, r * 3]
+    assert results == [Root((1, 3)), Root((1, 1)), Root((-1, -2)), Root((3, 6)), Root((3, 6))]
+    assert all(type(v) is Root for v in results)
+
+
+def test_lincomb_drops_cancelled_keys():
+    # a + (-a) cancelling to zero is checked in test_sl2_bracket_examples.
+    k = BaseElement.cartan(0)
+    assert list(LinComb([(k, 1), (k, -1)]).items()) == []
+    assert list(LinComb([(k, 1), (k, -1), (k, 2)]).items()) == [(k, Fraction(2))]
 
 
 def test_sl2_bracket_examples():

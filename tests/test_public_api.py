@@ -21,6 +21,8 @@ REMOVED_ATTRIBUTES = [
     (TruncatedAlgebra, "subspace_basis"),
     (linalg, "invert"),
     (shapovalov, "shapovalov_determinant"),
+    (tcla.LinComb, "map_keys"),
+    (tcla.Root, "__post_init__"),
 ]
 
 
