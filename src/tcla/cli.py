@@ -13,7 +13,6 @@ import json
 import os
 import sys
 
-from . import linalg
 from .criterion import (
     criterion_reducible,
     cross_validate,
@@ -26,7 +25,7 @@ from .errors import InvalidAlgebraError, TclaError
 from .figures import render_csv, render_svg, sl3_hyperplanes, virasoro_lines
 from .lie_core import BUILTIN_ALGEBRAS, Algebra, Root, algebra, root_label
 from .rationals import format_rational, parse_rational
-from .shapovalov import matrix_to_json, shapovalov_matrix
+from .shapovalov import determinant, matrix_to_json, shapovalov_matrix
 from .verma import VermaModule
 from .weights import WeightFunctional
 
@@ -164,7 +163,7 @@ def _cmd_shapovalov(args: argparse.Namespace) -> int:
     chi = _parse_chi(args.chi, base)
     module = VermaModule(alg, weight)
     matrix = shapovalov_matrix(module, chi)
-    det = linalg.determinant(matrix.entries)
+    det = determinant(matrix, alg.nilp)
     print(f"chi={chi} size={matrix.size}")
     for row in matrix.entries:
         print("[" + ", ".join(format_rational(x) for x in row) + "]")

@@ -27,8 +27,7 @@ from fractions import Fraction
 from .current import TruncatedAlgebra
 from .lie_core import Algebra, Root
 from .rationals import format_rational
-from .shapovalov import shapovalov_matrix
-from . import linalg
+from .shapovalov import determinant, shapovalov_matrix
 from .verma import VermaModule
 from .weights import WeightFunctional, positive_lattice_points
 
@@ -99,7 +98,7 @@ def scan_reducible(weight: WeightFunctional, alg: TruncatedAlgebra, max_height: 
     zero_chis: list[Root] = []
     for chi in positive_lattice_points(alg.base.simple_generator_count, max_height):
         matrix = shapovalov_matrix(module, chi)
-        det = linalg.determinant(matrix.entries)
+        det = determinant(matrix, alg.nilp)
         records.append(ScanRecord(chi=chi, dimension=matrix.size, det=det))
         if det == 0:
             zero_chis.append(chi)

@@ -39,13 +39,20 @@ class TruncatedAlgebra:
             )
         self.base = base
         self.nilp = nilp
+        self._checked: set[CurrentElement] = set()
 
     def check(self, x: CurrentElement) -> None:
+        """Reject an element outside the algebra.  Elements that pass are
+        remembered, so each is validated once; a failing one raises again
+        on every call."""
+        if x in self._checked:
+            return
         self.base.check_element(x.elem)
         if not 0 <= x.degree <= self.nilp:
             raise UnknownElementError(
                 f"t-degree {x.degree} out of range 0..{self.nilp} for {self.base.name}"
             )
+        self._checked.add(x)
 
     def bracket(self, x: CurrentElement, y: CurrentElement) -> LinComb:
         """[a (x) t^i, b (x) t^j] = [a, b] (x) t^(i+j), zero when i+j > N.

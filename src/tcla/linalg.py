@@ -3,7 +3,10 @@
 The determinant uses fraction-free (Bareiss) elimination on an integer
 matrix obtained by clearing denominators row by row; intermediate values
 stay integral, which keeps coefficient growth polynomial instead of the
-exponential blow-up of naive rational elimination.
+exponential blow-up of naive rational elimination.  ``determinant`` is the
+per-block kernel of ``shapovalov.determinant``, which factors a Shapovalov
+matrix into t-degree blocks first; on a whole matrix it is the oracle the
+block determinant is tested against.
 """
 
 from __future__ import annotations

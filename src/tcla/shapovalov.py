@@ -19,15 +19,35 @@ everything else is a lookup.  The canonical matrices are cached per module
 (``VermaModule._matrices``, keyed by chi, with chi = 0 giving [[1]]), so a
 scan over every weight drop pays for each smaller matrix once, and a lone
 chi fills the smaller ones on demand.
+
+The determinant uses the t-degree bound of the form.  Write len(m) for
+the number of factors of a monomial and tdeg(m) for the sum of their
+t-degrees.  Straightening entry (i, j) leaves products of Cartan factors
+of total t-degree tdeg(m_i) + tdeg(m_j).  A Cartan factor has weight zero,
+so it absorbs at least one lowering and one raising factor; there are at
+most min(len m_i, len m_j) of them, each of t-degree <= N.  Hence
+
+    S[i][j] = 0  whenever  tdeg(m_i) + tdeg(m_j) > N * min(len m_i, len m_j).
+
+Key row i by (N len m_i - tdeg m_i, -len m_i) and column j by
+(tdeg m_j, -len m_j): an entry whose column key exceeds its row key
+vanishes.  The degree reversal d -> N - d of every factor maps the
+monomials of chi onto themselves and each row key onto a column key, so
+both key lists are the same multiset.  Sorted by key, the matrix is block
+lower-triangular with square diagonal blocks, and its determinant is the
+sign of the two sorting permutations times the product of the blocks'
+determinants.  ``determinant`` checks the zero pattern on every call.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from . import linalg
+from .errors import InvalidAlgebraError
 from .lie_core import LinComb, Root
 from .current import CurrentElement
 from .rationals import format_rational
@@ -130,10 +150,54 @@ def shapovalov_matrix(
     return ShapovalovMatrix(chi=chi, monomials=monos, entries=[[entries[a][b] for b in order] for a in order])
 
 
+def _sign(perm: list[int]) -> int:
+    """The sign of a permutation of range(len(perm))."""
+    sign, seen = 1, [False] * len(perm)
+    for start in range(len(perm)):
+        if seen[start]:
+            continue
+        seen[start], j = True, perm[start]
+        while j != start:  # a cycle of length L is L - 1 transpositions
+            seen[j], j, sign = True, perm[j], -sign
+    return sign
+
+
+def determinant(matrix: ShapovalovMatrix, nilp: int) -> Fraction:
+    """Exact determinant from the diagonal blocks of the t-degree order.
+
+    Equals ``linalg.determinant(matrix.entries)`` for any order of the
+    monomials.  A matrix that breaks the zero pattern of the t-degree bound
+    (see the module docstring) raises InvalidAlgebraError.
+    """
+    shape = [(len(m), sum(f.degree for f in m)) for m in matrix.monomials]
+    row_key = [(nilp * n - d, -n) for n, d in shape]
+    col_key = [(d, -n) for n, d in shape]
+    rows = sorted(range(len(shape)), key=row_key.__getitem__)
+    cols = sorted(range(len(shape)), key=col_key.__getitem__)
+    keys = [row_key[i] for i in rows]
+    if keys != [col_key[j] for j in cols]:
+        raise InvalidAlgebraError(f"the monomials at chi={matrix.chi} are not closed under degree reversal")
+    ends = [bisect_right(keys, k) for k in dict.fromkeys(keys)]
+    blocks = list(zip([0] + ends, ends))
+    entries = matrix.entries
+    for start, end in blocks:
+        if any(entries[i][j] for i in rows[start:end] for j in cols[end:]):
+            raise InvalidAlgebraError(f"Shapovalov matrix at chi={matrix.chi} breaks the t-degree bound")
+    det = Fraction(_sign(rows) * _sign(cols))
+    for start, end in blocks:
+        det *= linalg.determinant([[entries[i][j] for j in cols[start:end]] for i in rows[start:end]])
+        if not det:
+            break
+    return det
+
+
 def matrix_to_json(matrix: ShapovalovMatrix, det: Fraction | None = None) -> dict:
-    """JSON-ready form: rationals as "p/q" strings, monomials as text."""
+    """JSON-ready form: rationals as "p/q" strings, monomials as text.
+
+    The default ``det`` is ``determinant`` with N read off the monomials:
+    a nonzero chi has monomials with a factor at every t-degree 0..N."""
     if det is None:
-        det = linalg.determinant(matrix.entries)
+        det = determinant(matrix, max((f.degree for m in matrix.monomials for f in m), default=0))
     return {
         "chi": list(matrix.chi.coords),
         "monomials": [format_monomial(m) for m in matrix.monomials],

@@ -14,10 +14,12 @@ from tcla import (
     TruncatedAlgebra,
     VermaModule,
     WeightFunctional,
+    enumerate_monomials,
     linalg,
     monomial_weight,
     shapovalov_matrix,
 )
+from tcla.weights import factor_key
 
 
 def rat(rng: random.Random, lo: int = -9, hi: int = 9, maxden: int = 4) -> Fraction:
@@ -83,6 +85,34 @@ def vector_weights(v: LinComb, generators: int) -> set[Root]:
 def determinant_at(module: VermaModule, chi: Root) -> Fraction:
     """Exact determinant of the Shapovalov matrix at weight drop chi."""
     return linalg.determinant(shapovalov_matrix(module, chi).entries)
+
+
+def determinant_law(alg: TruncatedAlgebra, weight: WeightFunctional, chi: Root) -> Fraction:
+    """The exact Shapovalov determinant at chi, from the product law
+
+        det S_chi = (-1)^s * prod_{alpha > 0} prod_{r >= 1} (r * lambda_N(h_alpha))^((N+1) * P(chi - r alpha))
+
+    with P(eta) the number of PBW monomials of weight eta (0 off the
+    positive cone) and s the number of monomials whose degree reversal
+    d -> N - d, re-sorted, sorts after them.
+    """
+    nilp, base = alg.nilp, alg.base
+    monos = enumerate_monomials(chi, alg)
+
+    def key(mono):
+        return [factor_key(f) for f in mono]
+
+    def reversal(mono):
+        return sorted((CurrentElement(f.elem, nilp - f.degree) for f in mono), key=factor_key)
+
+    det = Fraction(-1 if sum(key(reversal(m)) > key(m) for m in monos) % 2 else 1)
+    for alpha in base.positive_roots(chi.height):
+        value = weight.evaluate(base.coroot(alpha), nilp)
+        r = 1
+        while (r * alpha).fits_within(chi):
+            det *= (r * value) ** ((nilp + 1) * len(enumerate_monomials(chi - r * alpha, alg)))
+            r += 1
+    return det
 
 
 def bracket_ext(base: Algebra, x: LinComb, y: LinComb) -> LinComb:

@@ -3,10 +3,14 @@
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
+from helpers import determinant_law
+from tcla import Root, TruncatedAlgebra, WeightFunctional, algebra
 from tcla.cli import main
+from tcla.rationals import format_rational
 
 
 def write_weight(tmp_path, doc, name="lambda.json"):
@@ -50,6 +54,20 @@ def test_shapovalov_json_export(tmp_path, capsys):
     assert doc["entries"] == [["5", "3"], ["3", "0"]]
     assert doc["det"] == "-9"
     assert doc["monomials"] == ["f(1)[0]@0", "f(1)[0]@1"]
+
+
+def test_shapovalov_at_dimension_108_matches_the_product_law(tmp_path, capsys):
+    doc = {"levels": [{"L0": "3/2", "c": "-1"}, {"L0": "2", "c": "1/3"}, {"L0": "-5/4", "c": "7"}]}
+    lam = write_weight(tmp_path, doc)
+    code = main(["shapovalov", "--algebra", "virasoro", "--nilp", "2", "--lambda", lam, "--chi", "5"])
+    assert code == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "chi=(5) size=108"
+    base = algebra("virasoro")
+    alg = TruncatedAlgebra(base, 2)
+    levels = [{name: Fraction(value) for name, value in level.items()} for level in doc["levels"]]
+    weight = WeightFunctional.from_named(base, 2, levels)
+    assert lines[-1] == f"det = {format_rational(determinant_law(alg, weight, Root((5,))))}"
 
 
 def test_check_virasoro_reducible(tmp_path, capsys):

@@ -6,6 +6,7 @@ import pytest
 
 from helpers import cartan, lowering, raising, rand_generator
 from tcla import (
+    BaseElement,
     CurrentElement,
     InvalidAlgebraError,
     LinComb,
@@ -32,6 +33,28 @@ def test_degree_out_of_range_is_rejected():
         alg.check(bad)
     with pytest.raises(UnknownElementError):
         alg.bracket(bad, bad)
+
+
+def test_check_validates_each_element_once(monkeypatch):
+    alg = TruncatedAlgebra(algebra("sl3"), 2)
+    x = lowering(alg.base, Root((1, 1)), 2)
+    calls = []
+    check_element = alg.base.check_element
+    monkeypatch.setattr(alg.base, "check_element", lambda x: calls.append(x) or check_element(x))
+    for _ in range(3):
+        alg.check(x)
+        alg.bracket(x, x)
+    assert calls == [x.elem]
+
+
+def test_check_rejects_an_invalid_element_on_every_call():
+    alg = TruncatedAlgebra(algebra("sl3"), 2)
+    bad_root = CurrentElement(BaseElement.of_root(Root((2, 1))), 0)
+    bad_degree = lowering(alg.base, Root((1, 0)), 3)
+    for bad in (bad_root, bad_degree):
+        for _ in range(2):
+            with pytest.raises(UnknownElementError):
+                alg.check(bad)
 
 
 def test_bracket_examples():

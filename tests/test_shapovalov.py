@@ -4,8 +4,9 @@ import random
 from fractions import Fraction
 
 import pytest
-from helpers import determinant_at, lowering, rand_weight
+from helpers import determinant_at, determinant_law, lowering, rand_weight
 from tcla import (
+    InvalidAlgebraError,
     RescaledLowering,
     Root,
     TruncatedAlgebra,
@@ -19,6 +20,7 @@ from tcla import (
     shapovalov_matrix,
 )
 from tcla import linalg
+from tcla.shapovalov import determinant
 
 ALPHA = Root((1,))
 
@@ -82,14 +84,9 @@ def test_sl2_two_alpha_hand_oracle():
         assert determinant_at(mm, Root((2,))) == -4 * b**6
 
 
-def hankel_sign(nilp):
-    # Sign of the (N+1)-element order reversal.
-    return -1 if ((nilp + 1) // 2) % 2 else 1
-
-
 def test_hankel_law_on_simple_roots():
     # At a simple one-dimensional root the matrix is Hankel in the coroot
-    # values and anti-triangular, so det = +/- (top level on coroot)^(N+1).
+    # values and anti-triangular; its determinant is the product law's.
     rng = random.Random("hankel")
     for name in ("sl2", "sl3", "sl4", "virasoro", "oscillator"):
         base = algebra(name)
@@ -106,8 +103,7 @@ def test_hankel_law_on_simple_roots():
                         for j in range(nilp + 1):
                             expected = w.evaluate(h, i + j) if i + j <= nilp else Fraction(0)
                             assert mat.entries[i][j] == expected
-                    det = linalg.determinant(mat.entries)
-                    assert det == hankel_sign(nilp) * w.evaluate(h, nilp) ** (nilp + 1)
+                    assert linalg.determinant(mat.entries) == determinant_law(alg, w, alpha)
 
 
 def test_symmetry_for_sl_and_virasoro():
@@ -279,3 +275,105 @@ def test_override_that_is_not_a_reordering_raises():
                 enumerate_monomials(ALPHA, m.alg)):
         with pytest.raises(ValueError):
             shapovalov_matrix(m, Root((2,)), monomials=bad)
+
+
+# -- block determinant -----------------------------------------------------------
+
+BLOCK_CASES = [
+    (name, nilp, height)
+    for nilp, heights in ((1, {"sl2": 5, "sl3": 3, "sl4": 2, "virasoro": 4, "oscillator": 4}),
+                          (2, {"sl2": 4, "sl3": 3, "sl4": 2, "virasoro": 4, "oscillator": 3}),
+                          (3, {"sl2": 3, "sl3": 2, "sl4": 1, "virasoro": 3, "oscillator": 3}))
+    for name, height in heights.items()
+]
+
+
+def with_zero_entry(rng, base, nilp):
+    levels = [list(level) for level in rand_weight(rng, base, nilp).levels]
+    levels[rng.randint(0, nilp)][0] = Fraction(0)
+    return WeightFunctional(levels)
+
+
+@pytest.mark.parametrize("name, nilp, height", BLOCK_CASES)
+def test_block_determinant_equals_canonical_bareiss(name, nilp, height):
+    rng = random.Random(f"blocks:{name}:{nilp}")
+    base = algebra(name)
+    alg = TruncatedAlgebra(base, nilp)
+    for weight in (rand_weight(rng, base, nilp), with_zero_entry(rng, base, nilp), top_zero(rng, base, nilp)):
+        m = VermaModule(alg, weight)
+        for chi in positive_lattice_points(base.simple_generator_count, height):
+            mat = shapovalov_matrix(m, chi)
+            assert determinant(mat, nilp) == linalg.determinant(mat.entries)
+
+
+def test_block_determinant_on_rescaled_lowering():
+    rng = random.Random("blocks:rescaled")
+    for name in ("sl3", "virasoro"):
+        base = algebra(name)
+        scales = {}
+        scaled = RescaledLowering(
+            base, lambda alpha: scales.setdefault(alpha, Fraction(rng.randint(1, 9), rng.randint(1, 5)))
+        )
+        m = VermaModule(TruncatedAlgebra(scaled, 2), rand_weight(rng, base, 2))
+        for chi in positive_lattice_points(base.simple_generator_count, 3):
+            mat = shapovalov_matrix(m, chi)
+            assert determinant(mat, 2) == linalg.determinant(mat.entries)
+
+
+def test_block_determinant_stops_at_the_first_zero_block(monkeypatch):
+    # With the top level zero, the first block (the monomials of top
+    # t-degree against those of degree zero) is singular.
+    rng = random.Random("blocks:zero")
+    base = algebra("virasoro")
+    m = VermaModule(TruncatedAlgebra(base, 2), top_zero(rng, base, 2))
+    mat = shapovalov_matrix(m, Root((3,)))
+    calls = []
+    bareiss = linalg.determinant
+    monkeypatch.setattr(linalg, "determinant", lambda rows: calls.append(rows) or bareiss(rows))
+    assert determinant(mat, 2) == 0
+    assert len(calls) == 1 < len(mat.monomials)
+
+
+def test_block_determinant_is_exact_under_any_monomial_order():
+    rng = random.Random("blocks:shuffle")
+    for name, nilp, chi in (("sl3", 2, Root((2, 1))), ("virasoro", 2, Root((3,))), ("sl2", 3, Root((2,)))):
+        base = algebra(name)
+        alg = TruncatedAlgebra(base, nilp)
+        m = VermaModule(alg, rand_weight(rng, base, nilp))
+        det = linalg.determinant(shapovalov_matrix(m, chi).entries)
+        monos = enumerate_monomials(chi, alg)
+        for _ in range(4):
+            rng.shuffle(monos)
+            assert determinant(shapovalov_matrix(m, chi, monomials=monos), nilp) == det
+
+
+def test_planted_entry_above_the_block_diagonal_raises():
+    rng = random.Random("blocks:planted")
+    alg = TruncatedAlgebra(algebra("sl3"), 2)
+    mat = shapovalov_matrix(VermaModule(alg, rand_weight(rng, alg.base, 2)), Root((1, 1)))
+    # Row f(1,1)@1 against column f(1,1)@2: t-degrees 1 + 2 > N * 1.
+    i, j = (mat.monomials.index((lowering(alg.base, Root((1, 1)), d),)) for d in (1, 2))
+    assert mat.entries[i][j] == 0
+    mat.entries[i][j] = Fraction(1)
+    with pytest.raises(InvalidAlgebraError, match="t-degree bound"):
+        determinant(mat, 2)
+
+
+def test_monomials_not_closed_under_degree_reversal_raise():
+    mat = shapovalov_matrix(sl2_module(), ALPHA)  # monomials f@0, f@1
+    del mat.monomials[1], mat.entries[1], mat.entries[0][1]
+    with pytest.raises(InvalidAlgebraError, match="degree reversal"):
+        determinant(mat, 1)
+
+
+@pytest.mark.parametrize("nilp", (1, 2))
+@pytest.mark.parametrize("name", ("sl2", "sl3", "sl4", "virasoro", "oscillator"))
+def test_block_determinant_equals_the_product_law(name, nilp):
+    rng = random.Random(f"law:{name}:{nilp}")
+    base = algebra(name)
+    alg = TruncatedAlgebra(base, nilp)
+    height = {"sl2": 4, "sl3": 3, "sl4": 2, "virasoro": 4, "oscillator": 3}[name]
+    for weight in (rand_weight(rng, base, nilp), with_zero_entry(rng, base, nilp)):
+        m = VermaModule(alg, weight)
+        for chi in positive_lattice_points(base.simple_generator_count, height):
+            assert determinant(shapovalov_matrix(m, chi), nilp) == determinant_law(alg, weight, chi)
