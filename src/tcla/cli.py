@@ -3,7 +3,8 @@
 Subcommands: ``algebras``, ``check``, ``shapovalov``, ``scan``,
 ``validate``, ``figure``.  All numeric output is exact (p/q, never
 decimals).  Exit codes: 0 success, 2 usage error, 3 input-validation
-error, 4 internal invariant violation.
+error (including a weight space past ``MAX_WEIGHT_SPACE``), 4 internal
+invariant violation.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+from math import prod
 
 from .criterion import (
     criterion_reducible,
@@ -27,7 +29,13 @@ from .lie_core import BUILTIN_ALGEBRAS, Algebra, Root, algebra, root_label
 from .rationals import format_rational, parse_rational
 from .shapovalov import determinant, matrix_to_json, shapovalov_matrix
 from .verma import VermaModule
-from .weights import WeightFunctional
+from .weights import WeightFunctional, positive_lattice_points, weight_space_dimension
+
+# The largest weight space, in PBW monomials, that shapovalov, scan and
+# validate build; anything larger exits 3.  The cost grows about as the
+# cube of the dimension, and at the limit the slowest built-in (sl2 N=1,
+# dimension chi + 1) takes about a minute.
+MAX_WEIGHT_SPACE = 150
 
 
 class InputError(TclaError):
@@ -99,6 +107,30 @@ def _check_at_least(flag: str, value: int, least: int) -> int:
     return value
 
 
+def _check_weight_space(chi: Root, alg: TruncatedAlgebra) -> None:
+    # The simple-root factors alone make at least prod(chi_i + 1) monomials,
+    # so a larger box is refused before counting.
+    box = prod(c + 1 for c in chi.coords)
+    if box > MAX_WEIGHT_SPACE or weight_space_dimension(chi, alg) > MAX_WEIGHT_SPACE:
+        raise InputError(f"the weight space at chi={chi} exceeds the limit of {MAX_WEIGHT_SPACE} monomials")
+
+
+def _check_scan_height(height: int, alg: TruncatedAlgebra) -> int:
+    """Refuse a scan height whose weight spaces exceed the limit.
+
+    Appending a simple-root factor maps the monomials of chi into those of
+    chi + alpha_i, so the largest weight spaces lie at the top height; the
+    even split of the height, with the largest box, is checked first.
+    """
+    rank = alg.base.simple_generator_count
+    q, rem = divmod(height, rank)
+    _check_weight_space(Root(tuple(q + (k < rem) for k in range(rank))), alg)
+    for chi in positive_lattice_points(rank, height):
+        if chi.height == height:
+            _check_weight_space(chi, alg)
+    return height
+
+
 def _threads() -> int:
     """The worker cap from TCLA_THREADS (1 when unset), the only place
     that reads it; ``cross_validate`` also caps the pool at the sample and
@@ -161,6 +193,7 @@ def _cmd_shapovalov(args: argparse.Namespace) -> int:
     alg = TruncatedAlgebra(base, _check_nilp(args.nilp))
     weight = _load_weight(args.lambda_file, base, alg.nilp)
     chi = _parse_chi(args.chi, base)
+    _check_weight_space(chi, alg)
     module = VermaModule(alg, weight)
     matrix = shapovalov_matrix(module, chi)
     det = determinant(matrix, alg.nilp)
@@ -178,7 +211,8 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     base = _get_algebra(args.algebra)
     alg = TruncatedAlgebra(base, _check_nilp(args.nilp))
     weight = _load_weight(args.lambda_file, base, alg.nilp)
-    report = scan_reducible(weight, alg, _check_at_least("--max-height", args.max_height, 0))
+    height = _check_scan_height(_check_at_least("--max-height", args.max_height, 0), alg)
+    report = scan_reducible(weight, alg, height)
     for rec in report.records:
         print(f"chi={rec.chi} dim={rec.dimension} det={format_rational(rec.det)}")
     if report.zero_found:
@@ -211,7 +245,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     _check_nilp(args.nilp)
     _check_at_least("--samples", args.samples, 1)
     height = args.max_height if args.max_height is not None else default_scan_height(base)
-    _check_at_least("--max-height", height, 1)
+    _check_scan_height(_check_at_least("--max-height", height, 1), TruncatedAlgebra(base, args.nilp))
     report = cross_validate(base, args.nilp, args.samples, args.seed, height, _threads())
     print(report.to_text())
     if args.json:

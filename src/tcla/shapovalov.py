@@ -14,11 +14,21 @@ matrix there:
 
     S_chi[i][j] = sum_l (e_{f0} . m_i v)[l] * S_{chi - wt(f0)}[l][tail_j]
 
-So each (row, distinct first factor) pair costs one raising action, and
-everything else is a lookup.  The canonical matrices are cached per module
-(``VermaModule._matrices``, keyed by chi, with chi = 0 giving [[1]]), so a
-scan over every weight drop pays for each smaller matrix once, and a lone
-chi fills the smaller ones on demand.
+So each (row, distinct first factor) pair costs one raising action.  The
+canonical matrices are cached per module (``VermaModule._matrices``, keyed
+by chi) as sparse rows: row i is a dict j -> S[i][j] holding only the
+nonzero entries, and chi = 0 gives [{0: 1}].  A scan over every weight drop
+pays for each smaller matrix once, and a lone chi fills the smaller ones on
+demand.
+
+A row is built by sparse accumulation: for each term (l, c) of the raised
+vector and each nonzero entry s at column t of row l one step down, c * s
+is added at column j if m_j = f0 . m_t.  So the cost follows
+the nonzero products rather than the square of the dimension.  A product
+is left out only when its lower entry is zero, and no entry is assumed zero
+from the t-degree bound below: every stored entry is the exact full sum,
+and ``determinant`` checks the bound against computed values.
+``shapovalov_matrix`` hands out dense copies.
 
 The determinant uses the t-degree bound of the form.  Write len(m) for
 the number of factors of a monomial and tdeg(m) for the sum of their
@@ -48,7 +58,7 @@ from typing import Sequence
 
 from . import linalg
 from .errors import InvalidAlgebraError
-from .lie_core import LinComb, Root
+from .lie_core import LinComb, Root, add_term
 from .current import CurrentElement
 from .rationals import format_rational
 from .verma import VermaModule
@@ -56,8 +66,9 @@ from .weights import Monomial, enumerate_monomials, format_monomial
 
 _ZERO = Fraction(0)
 
-# A cached canonical matrix: its monomials, monomial -> index, its entries.
-Canonical = tuple[list[Monomial], dict[Monomial, int], list[list[Fraction]]]
+# A cached canonical matrix: its monomials, monomial -> index, and its rows,
+# each holding only its nonzero entries as column -> value.
+Canonical = tuple[list[Monomial], dict[Monomial, int], list[dict[int, Fraction]]]
 
 
 @dataclass
@@ -105,25 +116,32 @@ def _canonical(module: VermaModule, chi: Root) -> Canonical:
         return hit
     monos = enumerate_monomials(chi, module.alg)
     if chi.is_zero:
-        entries = [[Fraction(1)]]
+        rows = [{0: Fraction(1)}]
     else:
-        columns: dict[CurrentElement, list[int]] = {}
+        # Per first factor f0: the matrix one step down, and column j keyed
+        # by the index of its tail there.  f0 is a lowering factor, so
+        # chi + root(f0) is chi - wt(f0).
+        lower: dict[CurrentElement, Canonical] = {}
+        columns: dict[CurrentElement, dict[int, int]] = {}
         for j, mono in enumerate(monos):
-            columns.setdefault(mono[0], []).append(j)
-        # f0 is a lowering factor, so chi + root(f0) is chi - wt(f0).
-        lower = {f0: _canonical(module, chi + f0.elem.root) for f0 in columns}
-        entries = []
+            f0 = mono[0]
+            if f0 not in lower:
+                lower[f0] = _canonical(module, chi + f0.elem.root)
+                columns[f0] = {}
+            columns[f0][lower[f0][1][mono[1:]]] = j
+        rows = []
         for mono in monos:
             descent = module.descend(mono)
-            row = [_ZERO] * len(monos)
+            row: dict[int, Fraction] = {}
             for f0, cols in columns.items():
                 _, index, sub = lower[f0]
-                raised = [(c, sub[index[m]]) for m, c in ascend(module, (f0,), descent).items()]
-                for j in cols:
-                    tail = index[monos[j][1:]]
-                    row[j] = sum((c * sub_row[tail] for c, sub_row in raised), _ZERO)
-            entries.append(row)
-    out = module._matrices[chi] = (monos, {m: k for k, m in enumerate(monos)}, entries)
+                for m, c in ascend(module, (f0,), descent).items():
+                    for tail, s in sub[index[m]].items():
+                        j = cols.get(tail)
+                        if j is not None:
+                            add_term(row, j, c * s)
+            rows.append(row)
+    out = module._matrices[chi] = (monos, {m: k for k, m in enumerate(monos)}, rows)
     return out
 
 
@@ -135,19 +153,22 @@ def shapovalov_matrix(
     """The matrix of descent/ascent scalars at weight drop chi, indexed by
     the canonical monomial list or by an explicit reordering of it.
 
-    The result is a copy of the module's cached matrix.  An override that
-    is not a reordering of the canonical monomials raises ValueError.
+    The result is a dense copy of the module's cached sparse rows.  An
+    override that is not a reordering of the canonical monomials raises
+    ValueError.
     """
-    canon, index, entries = _canonical(module, chi)
+    canon, index, rows = _canonical(module, chi)
     if monomials is None:
-        return ShapovalovMatrix(chi=chi, monomials=list(canon), entries=[row[:] for row in entries])
-    monos = list(monomials)
-    order = [index.get(m) for m in monos]
-    if len(order) != len(canon) or set(order) != set(range(len(canon))):
-        raise ValueError(
-            f"monomials must be a reordering of the {len(canon)} canonical monomials at chi={chi}"
-        )
-    return ShapovalovMatrix(chi=chi, monomials=monos, entries=[[entries[a][b] for b in order] for a in order])
+        monos, order = list(canon), range(len(canon))
+    else:
+        monos = list(monomials)
+        order = [index.get(m) for m in monos]
+        if len(order) != len(canon) or set(order) != set(range(len(canon))):
+            raise ValueError(
+                f"monomials must be a reordering of the {len(canon)} canonical monomials at chi={chi}"
+            )
+    entries = [[rows[a].get(b, _ZERO) for b in order] for a in order]
+    return ShapovalovMatrix(chi=chi, monomials=monos, entries=entries)
 
 
 def _sign(perm: list[int]) -> int:

@@ -42,7 +42,8 @@ class VermaModule:
         self.alg = alg
         self.weight = weight
         self._memo: dict[tuple[CurrentElement, Monomial], Terms] = {}
-        # Canonical Shapovalov matrices by chi, filled by shapovalov._canonical.
+        # Canonical Shapovalov matrices by chi as sparse rows (column -> nonzero
+        # entry), filled by shapovalov._canonical.
         self._matrices: dict[Root, tuple] = {}
 
     def highest_weight_vector(self) -> LinComb:

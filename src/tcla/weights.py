@@ -10,6 +10,8 @@ Verma module.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
+from math import prod
 from typing import Iterable, Sequence
 
 from .current import CurrentElement, TruncatedAlgebra
@@ -129,18 +131,42 @@ def lowering_generators(chi: Root, alg: TruncatedAlgebra) -> list[CurrentElement
     return gens
 
 
-def enumerate_monomials(chi: Root, alg: TruncatedAlgebra) -> list[Monomial]:
-    """All PBW monomials of weight chi, in canonical order.
-
-    The list's length is the dimension of the Verma-module weight space at
-    (highest weight - chi).
-    """
+def _check_chi(chi: Root, alg: TruncatedAlgebra) -> None:
     if len(chi.coords) != alg.base.simple_generator_count:
         raise NotARootError(
             f"chi arity {len(chi.coords)} != {alg.base.simple_generator_count}"
         )
     if any(c < 0 for c in chi.coords):
         raise NotARootError(f"chi must lie in the positive cone, got {chi}")
+
+
+def weight_space_dimension(chi: Root, alg: TruncatedAlgebra) -> int:
+    """``len(enumerate_monomials(chi, alg))`` without enumerating.
+
+    A monomial is a multiset of lowering generators, so this is a coin-change
+    count: the ways to make chi from the generators' drops, tallied over the
+    box of points between 0 and chi.
+    """
+    _check_chi(chi, alg)
+    points = list(product(*(range(c + 1) for c in chi.coords)))
+    strides = [prod(c + 1 for c in chi.coords[k + 1:]) for k in range(len(chi.coords))]
+    ways = [1] + [0] * (len(points) - 1)
+    for gen in lowering_generators(chi, alg):
+        drop = (-gen.elem.root).coords
+        offset = sum(d * s for d, s in zip(drop, strides))
+        for k, point in enumerate(points):
+            if all(p >= d for p, d in zip(point, drop)):
+                ways[k] += ways[k - offset]
+    return ways[-1]
+
+
+def enumerate_monomials(chi: Root, alg: TruncatedAlgebra) -> list[Monomial]:
+    """All PBW monomials of weight chi, in canonical order.
+
+    The list's length is the dimension of the Verma-module weight space at
+    (highest weight - chi).
+    """
+    _check_chi(chi, alg)
     if chi.is_zero:
         return [()]
 

@@ -9,6 +9,7 @@ import pytest
 
 from helpers import determinant_law
 from tcla import Root, TruncatedAlgebra, WeightFunctional, algebra
+from tcla import cli
 from tcla.cli import main
 from tcla.rationals import format_rational
 
@@ -176,6 +177,37 @@ def assert_input_error(capsys, code):
 def test_scan_negative_height_exit_code(tmp_path, capsys):
     lam = write_weight(tmp_path, SL2_WEIGHT)
     code = main(["scan", "--algebra", "sl2", "--nilp", "1", "--lambda", lam, "--max-height", "-1"])
+    assert_input_error(capsys, code)
+
+
+def test_oversized_weight_space_exit_code(tmp_path, capsys):
+    # dim 1101 at chi = 1100; refused from the box bound, before any counting
+    lam = write_weight(tmp_path, SL2_WEIGHT)
+    code = main(["shapovalov", "--algebra", "sl2", "--nilp", "1", "--lambda", lam, "--chi", "1100"])
+    assert_input_error(capsys, code)
+
+
+def test_oversized_scan_height_exit_code(tmp_path, capsys):
+    lam = write_weight(tmp_path, SL2_WEIGHT)
+    code = main(["scan", "--algebra", "sl2", "--nilp", "1", "--lambda", lam, "--max-height", "400"])
+    assert_input_error(capsys, code)
+
+
+def test_oversized_validate_height_exit_code(capsys):
+    # sl3 N=2 at (3,3) fits its box of 16 but has more than 150 monomials
+    code = main(["validate", "--algebra", "sl3", "--nilp", "2", "--samples", "2",
+                 "--seed", "1", "--max-height", "6"])
+    assert_input_error(capsys, code)
+
+
+def test_weight_space_at_the_limit_is_accepted(tmp_path, capsys, monkeypatch):
+    # The limit bounds the dimension itself: under a limit of 4, sl2 N=1
+    # builds chi = 3 (dim 4) and refuses chi = 4 (dim 5).
+    monkeypatch.setattr(cli, "MAX_WEIGHT_SPACE", 4)
+    lam = write_weight(tmp_path, SL2_WEIGHT)
+    assert main(["shapovalov", "--algebra", "sl2", "--nilp", "1", "--lambda", lam, "--chi", "3"]) == 0
+    assert capsys.readouterr().out.startswith("chi=(3) size=4\n")
+    code = main(["shapovalov", "--algebra", "sl2", "--nilp", "1", "--lambda", lam, "--chi", "4"])
     assert_input_error(capsys, code)
 
 

@@ -248,10 +248,41 @@ def test_returned_matrix_is_a_copy_of_the_cache():
     m = sl2_module()
     first = shapovalov_matrix(m, ALPHA)
     first.entries[0][0] = 99
+    first.entries[1][1] = 7  # a zero the cache does not store
     first.monomials.reverse()
     again = shapovalov_matrix(m, ALPHA)
     assert again.entries == [[5, 3], [3, 0]]
     assert again.monomials == enumerate_monomials(ALPHA, m.alg)
+    swapped = again.monomials[::-1]
+    override = shapovalov_matrix(m, ALPHA, monomials=swapped)
+    override.entries[0][0] = 99
+    override.entries[1].append(1)
+    assert shapovalov_matrix(m, ALPHA, monomials=swapped).entries == [[0, 3], [3, 5]]
+    assert shapovalov_matrix(m, ALPHA).entries == [[5, 3], [3, 0]]
+
+
+@pytest.mark.parametrize("nilp", (1, 2))
+@pytest.mark.parametrize("name", ("sl2", "sl3", "sl4", "virasoro", "oscillator"))
+def test_cache_holds_sparse_rows_and_hands_out_dense_ones(name, nilp):
+    rng = random.Random(f"sparse:{name}:{nilp}")
+    base = algebra(name)
+    alg = TruncatedAlgebra(base, nilp)
+    height = 2 if name == "sl4" else 3
+    for weight in (rand_weight(rng, base, nilp), with_zero_entry(rng, base, nilp), top_zero(rng, base, nilp)):
+        m = VermaModule(alg, weight)
+        for chi in positive_lattice_points(base.simple_generator_count, height):
+            mat = shapovalov_matrix(m, chi)
+            n = mat.size
+            assert len(mat.entries) == n and all(len(row) == n for row in mat.entries)
+            monos = mat.monomials[::-1]
+            reordered = shapovalov_matrix(m, chi, monomials=monos).entries
+            assert len(reordered) == n and all(len(row) == n for row in reordered)
+            assert reordered == [row[::-1] for row in mat.entries[::-1]]
+        for monos, index, rows in m._matrices.values():
+            assert len(rows) == len(monos) == len(index)
+            for row in rows:
+                assert all(value != 0 for value in row.values())
+                assert set(row) <= set(range(len(monos)))
 
 
 def test_shuffled_override_equals_direct_ascents():

@@ -21,7 +21,7 @@ from tcla import (
     monomial_weight,
     positive_lattice_points,
 )
-from tcla.weights import factor_key, lowering_generators
+from tcla.weights import factor_key, lowering_generators, weight_space_dimension
 
 ALPHA = Root((1,))
 
@@ -94,6 +94,16 @@ def test_enumeration_count_matches_binomial():
         for k in range(5):
             got = len(enumerate_monomials(Root((k,)), alg))
             assert got == math.comb(k + nilp, nilp)
+
+
+@pytest.mark.parametrize("nilp", (1, 2))
+@pytest.mark.parametrize("name", ("sl2", "sl3", "sl4", "virasoro", "oscillator"))
+def test_weight_space_dimension_counts_the_monomials(name, nilp):
+    base = algebra(name)
+    alg = TruncatedAlgebra(base, nilp)
+    height = {"sl2": 6, "sl3": 4, "sl4": 3, "virasoro": 6, "oscillator": 5}[name]
+    for chi in [Root((0,) * base.simple_generator_count)] + positive_lattice_points(base.simple_generator_count, height):
+        assert weight_space_dimension(chi, alg) == len(enumerate_monomials(chi, alg))
 
 
 def brute_force_monomials(chi, alg):
