@@ -88,13 +88,6 @@ def _parse_chi(text: str, base: Algebra) -> Root:
     return Root(coords)
 
 
-def _get_algebra(name: str) -> Algebra:
-    try:
-        return algebra(name)
-    except TclaError as exc:
-        raise InputError(str(exc)) from exc
-
-
 def _check_nilp(nilp: int) -> int:
     if nilp < 1:
         raise InputError("nilp must be >= 1 (order 0 is the untruncated base algebra)")
@@ -171,7 +164,7 @@ def _cmd_algebras(_args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    base = _get_algebra(args.algebra)
+    base = algebra(args.algebra)
     alg = TruncatedAlgebra(base, _check_nilp(args.nilp))
     weight = _load_weight(args.lambda_file, base, alg.nilp)
     height = args.max_height if args.max_height is not None else default_scan_height(base)
@@ -189,7 +182,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_shapovalov(args: argparse.Namespace) -> int:
-    base = _get_algebra(args.algebra)
+    base = algebra(args.algebra)
     alg = TruncatedAlgebra(base, _check_nilp(args.nilp))
     weight = _load_weight(args.lambda_file, base, alg.nilp)
     chi = _parse_chi(args.chi, base)
@@ -208,7 +201,7 @@ def _cmd_shapovalov(args: argparse.Namespace) -> int:
 
 
 def _cmd_scan(args: argparse.Namespace) -> int:
-    base = _get_algebra(args.algebra)
+    base = algebra(args.algebra)
     alg = TruncatedAlgebra(base, _check_nilp(args.nilp))
     weight = _load_weight(args.lambda_file, base, alg.nilp)
     height = _check_scan_height(_check_at_least("--max-height", args.max_height, 0), alg)
@@ -241,7 +234,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    base = _get_algebra(args.algebra)
+    base = algebra(args.algebra)
     _check_nilp(args.nilp)
     _check_at_least("--samples", args.samples, 1)
     height = args.max_height if args.max_height is not None else default_scan_height(base)

@@ -155,9 +155,10 @@ class ValidationReport:
         return "\n".join(lines)
 
 
-def _sample_task(base: Algebra, nilp: int, seed: int, index: int, max_height: int) -> tuple:
-    """Deterministically draw one sample: odd indices are constructed to
-    satisfy the criterion for a random witness root within the scan height."""
+def _run_sample(base: Algebra, nilp: int, seed: int, max_height: int, index: int) -> dict:
+    """Deterministically draw sample ``index`` and run both verdicts on it:
+    odd indices are constructed to satisfy the criterion for a random
+    witness root within the scan height."""
     rng = random.Random(f"{seed}:{index}")
     levels = [
         [Fraction(rng.randint(-20, 20), rng.randint(1, 6)) for _ in range(base.cartan_rank)]
@@ -172,11 +173,6 @@ def _sample_task(base: Algebra, nilp: int, seed: int, index: int, max_height: in
         top = levels[nilp]
         top[pivot] = -sum(top[j] * h[j] for j in range(len(h)) if j != pivot) / h[pivot]
         witness = alpha.coords
-    return (base, nilp, index, kind, levels, witness, max_height)
-
-
-def _run_sample(task: tuple) -> dict:
-    base, nilp, index, kind, levels, witness, max_height = task
     alg = TruncatedAlgebra(base, nilp)
     weight = WeightFunctional(levels)
     verdict = criterion_reducible(weight, alg, max_height)
@@ -200,17 +196,17 @@ def _run_sample(task: tuple) -> dict:
     }
 
 
-# The samples of the current pool, set in each worker by _init_worker.
-_worker_tasks: list[tuple] = []
+# The harness arguments of the current pool, set in each worker by _init_worker.
+_worker_harness: tuple = ()
 
 
-def _init_worker(tasks: list[tuple]) -> None:
-    global _worker_tasks
-    _worker_tasks = tasks
+def _init_worker(*harness) -> None:
+    global _worker_harness
+    _worker_harness = harness
 
 
 def _run_worker_sample(index: int) -> dict:
-    return _run_sample(_worker_tasks[index])
+    return _run_sample(*_worker_harness, index)
 
 
 def cross_validate(
@@ -228,24 +224,27 @@ def cross_validate(
     caps the process pool, which never exceeds the sample count or the
     core count, since every worker process starts up front.  Every sample
     runs on ``base`` itself, so its bracket table serves them all.  A pool
-    hands the whole sample list to each worker once, through the worker
-    initializer, and then sends only sample indices: forked workers
-    inherit the list, and under spawn or forkserver it is pickled once per
-    worker.
+    hands the harness arguments (``base``, ``nilp``, ``seed``,
+    ``max_height``) to each worker once, through the worker initializer,
+    and then sends only sample indices; each sample is drawn from its own
+    seeded generator where it runs.  Forked workers inherit the arguments,
+    and under spawn or forkserver they are pickled once per worker.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
     if max_height is None:
         max_height = default_scan_height(base)
-    tasks = [_sample_task(base, nilp, seed, i, max_height) for i in range(samples)]
+    if max_height < 1:
+        raise ValueError("max_height must be >= 1")
+    harness = (base, nilp, seed, max_height)
     workers = min(workers, samples, os.cpu_count() or 1)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker, initargs=(tasks,)) as pool:
+        with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker, initargs=harness) as pool:
             records = list(pool.map(_run_worker_sample, range(samples)))
     else:
-        records = [_run_sample(t) for t in tasks]
+        records = [_run_sample(*harness, i) for i in range(samples)]
     disagreements = [rec["index"] for rec in records if not rec["agree"]]
     return ValidationReport(
         algebra=base.name,

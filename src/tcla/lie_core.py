@@ -237,6 +237,8 @@ class LinComb:
         s = Fraction(scalar)
         if not s:
             return LinComb()
+        if s == 1:
+            return self  # no method mutates a LinComb, so sharing is safe
         return LinComb.wrap({k: s * c for k, c in self._terms.items()})
 
     __rmul__ = __mul__

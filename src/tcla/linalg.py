@@ -1,12 +1,12 @@
-"""Exact linear algebra over the rationals for small dense matrices.
+"""Exact determinants over the rationals for small dense matrices.
 
-The determinant uses fraction-free (Bareiss) elimination on an integer
-matrix obtained by clearing denominators row by row; intermediate values
-stay integral, which keeps coefficient growth polynomial instead of the
-exponential blow-up of naive rational elimination.  ``determinant`` is the
-per-block kernel of ``shapovalov.determinant``, which factors a Shapovalov
-matrix into t-degree blocks first; on a whole matrix it is the oracle the
-block determinant is tested against.
+The module's one routine, ``determinant``, is fraction-free (Bareiss)
+elimination on an integer matrix obtained by clearing denominators row by
+row; intermediate values stay integral, which keeps coefficient growth
+polynomial instead of the exponential blow-up of naive rational
+elimination.  It is the per-block kernel of ``shapovalov.determinant``,
+which factors a Shapovalov matrix into t-degree blocks first; on a whole
+matrix it is the oracle the block determinant is tested against.
 """
 
 from __future__ import annotations
@@ -53,44 +53,3 @@ def determinant(rows: list[list[Fraction]]) -> Fraction:
             row_i[k] = 0
         prev = pivot
     return Fraction(sign * m[-1][-1], scale)
-
-
-def kernel_vector(rows: list[list[Fraction]]) -> list[Fraction] | None:
-    """A nonzero x with A x = 0, or None if the columns are independent."""
-    if not rows:
-        return None
-    nrows, ncols = len(rows), len(rows[0])
-    a = [[Fraction(x) for x in row] for row in rows]
-    pivot_of_col: dict[int, int] = {}
-    r = 0
-    for c in range(ncols):
-        pivot_row = next((i for i in range(r, nrows) if a[i][c] != 0), None)
-        if pivot_row is None:
-            continue
-        a[r], a[pivot_row] = a[pivot_row], a[r]
-        p = a[r][c]
-        a[r] = [x / p for x in a[r]]
-        for i in range(nrows):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivot_of_col[c] = r
-        r += 1
-        if r == nrows:
-            break
-    free = next((c for c in range(ncols) if c not in pivot_of_col), None)
-    if free is None:
-        return None
-    x = [Fraction(0)] * ncols
-    x[free] = Fraction(1)
-    for c, row in pivot_of_col.items():
-        x[c] = -a[row][free]
-    return x
-
-
-def left_kernel_vector(rows: list[list[Fraction]]) -> list[Fraction] | None:
-    """A nonzero u with u^T A = 0, or None if the rows are independent."""
-    if not rows:
-        return None
-    transposed = [list(col) for col in zip(*rows)]
-    return kernel_vector(transposed)

@@ -212,13 +212,8 @@ def determinant(matrix: ShapovalovMatrix, nilp: int) -> Fraction:
     return det
 
 
-def matrix_to_json(matrix: ShapovalovMatrix, det: Fraction | None = None) -> dict:
-    """JSON-ready form: rationals as "p/q" strings, monomials as text.
-
-    The default ``det`` is ``determinant`` with N read off the monomials:
-    a nonzero chi has monomials with a factor at every t-degree 0..N."""
-    if det is None:
-        det = determinant(matrix, max((f.degree for m in matrix.monomials for f in m), default=0))
+def matrix_to_json(matrix: ShapovalovMatrix, det: Fraction) -> dict:
+    """JSON-ready form: rationals as "p/q" strings, monomials as text."""
     return {
         "chi": list(matrix.chi.coords),
         "monomials": [format_monomial(m) for m in matrix.monomials],

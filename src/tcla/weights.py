@@ -167,9 +167,6 @@ def enumerate_monomials(chi: Root, alg: TruncatedAlgebra) -> list[Monomial]:
     (highest weight - chi).
     """
     _check_chi(chi, alg)
-    if chi.is_zero:
-        return [()]
-
     gens = lowering_generators(chi, alg)
     drops = [-g.elem.root for g in gens]
     out: list[Monomial] = []

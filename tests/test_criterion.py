@@ -275,6 +275,8 @@ def test_worker_pool_is_capped_by_samples_and_cores(monkeypatch):
 def test_validation_argument_errors():
     with pytest.raises(ValueError):
         cross_validate(algebra("sl2"), 1, 0, seed=1, max_height=2)
+    with pytest.raises(ValueError):
+        cross_validate(algebra("sl3"), 1, 2, 0, max_height=0)
     alg = TruncatedAlgebra(algebra("sl2"), 1)
     with pytest.raises(ValueError):
         criterion_reducible(WeightFunctional([(1,), (1,)]), alg, 0)

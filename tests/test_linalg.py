@@ -1,4 +1,4 @@
-"""Exact matrix helpers, cross-checked against cofactor expansion."""
+"""The exact determinant, cross-checked against cofactor expansion."""
 
 import random
 from fractions import Fraction
@@ -55,13 +55,3 @@ def test_determinant_singular_via_pivot_search():
     m2 = [[z, Fraction(1)], [Fraction(1), z]]
     assert linalg.determinant(m2) == -1
 
-
-def test_kernel_vectors():
-    m = [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]
-    x = linalg.kernel_vector(m)
-    assert x is not None and any(x)
-    assert all(sum(row[j] * x[j] for j in range(2)) == 0 for row in m)
-    u = linalg.left_kernel_vector(m)
-    assert u is not None and any(u)
-    assert all(sum(u[i] * m[i][j] for i in range(2)) == 0 for j in range(2))
-    assert linalg.kernel_vector([[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]) is None

@@ -20,6 +20,8 @@ REMOVED_ATTRIBUTES = [
     (tcla.Algebra, "root_space_dim"),
     (TruncatedAlgebra, "subspace_basis"),
     (linalg, "invert"),
+    (linalg, "kernel_vector"),
+    (linalg, "left_kernel_vector"),
     (shapovalov, "shapovalov_determinant"),
     (tcla.LinComb, "map_keys"),
     (tcla.Root, "__post_init__"),
