@@ -31,7 +31,6 @@ from .lie_core import (
     BaseElement,
     LinComb,
     OscillatorAlgebra,
-    RescaledLowering,
     Root,
     SpecialLinear,
     VirasoroAlgebra,
@@ -62,7 +61,6 @@ __all__ = [
     "Monomial",
     "NotARootError",
     "OscillatorAlgebra",
-    "RescaledLowering",
     "Root",
     "ScanReport",
     "ShapovalovMatrix",

@@ -3,8 +3,8 @@
 Subcommands: ``algebras``, ``check``, ``shapovalov``, ``scan``,
 ``validate``, ``figure``.  All numeric output is exact (p/q, never
 decimals).  Exit codes: 0 success, 2 usage error, 3 input-validation
-error (including a weight space past ``MAX_WEIGHT_SPACE``), 4 internal
-invariant violation.
+error (including a weight space past ``MAX_WEIGHT_SPACE`` and a ``check``
+height past ``MAX_CHECK_HEIGHT``), 4 internal invariant violation.
 """
 
 from __future__ import annotations
@@ -32,10 +32,17 @@ from .verma import VermaModule
 from .weights import WeightFunctional, positive_lattice_points, weight_space_dimension
 
 # The largest weight space, in PBW monomials, that shapovalov, scan and
-# validate build; anything larger exits 3.  The cost grows about as the
-# cube of the dimension, and at the limit the slowest built-in (sl2 N=1,
-# dimension chi + 1) takes about a minute.
+# validate build; anything larger exits 3.  At the limit sl2 N=1, whose
+# monomials have chi factors, takes 33-43 s and a 230 MiB peak for
+# shapovalov --chi 149 on a 2-core host; every other built-in takes at
+# most 1.0 s at its largest chi under the limit.
 MAX_WEIGHT_SPACE = 150
+
+# The largest --max-height that check accepts; anything larger exits 3.
+# When the top level kills every coroot of virasoro or oscillator, check
+# lists every root up to the height, so its memory and output grow linearly
+# with it (a 240 MiB peak and 9.9 MB of output at a height of 10^6).
+MAX_CHECK_HEIGHT = 10_000
 
 
 class InputError(TclaError):
@@ -168,7 +175,9 @@ def _cmd_check(args: argparse.Namespace) -> int:
     alg = TruncatedAlgebra(base, _check_nilp(args.nilp))
     weight = _load_weight(args.lambda_file, base, alg.nilp)
     height = args.max_height if args.max_height is not None else default_scan_height(base)
-    verdict = criterion_reducible(weight, alg, _check_at_least("--max-height", height, 1))
+    if _check_at_least("--max-height", height, 1) > MAX_CHECK_HEIGHT:
+        raise InputError(f"--max-height must be <= {MAX_CHECK_HEIGHT}, got {height}")
+    verdict = criterion_reducible(weight, alg, height)
     if verdict.reducible:
         labels = ", ".join(root_label(base, w) for w in verdict.witnesses)
         noun = "witness" if len(verdict.witnesses) == 1 else "witnesses"

@@ -11,25 +11,30 @@ g^-alpha, so a root vector is named by its root alone.
 The structure constants are data.  ``Algebra.bracket`` is the one bracket:
 it answers from a per-instance table keyed by the pair of basis elements,
 and on a miss validates both elements once, computes the bracket with the
-subclass hook ``_structure`` and stores it.  sl(n) builds a dict from each
-basis element to its matrix units once, in ``__init__``; the Virasoro and
-oscillator constants are closed forms in the mode numbers.  The bracket of
-the truncated current algebra g (x) k[t]/t^(N+1) reads [a, b] off this
-table and only adds the t-degrees.
+subclass hook ``_structure`` and stores it.  ``MatrixAlgebra`` is the hook
+for any algebra given by matrices: the matrix commutator, expanded back
+over the basis by the pivot rule (below).  The Virasoro and oscillator
+constants are closed forms in the mode numbers.  The bracket of the
+truncated current algebra g (x) k[t]/t^(N+1) reads [a, b] off this table
+and only adds the t-degrees.
 
 Built-in conventions
 --------------------
 
 ``sl2``, ``sl3``, ``sl4``
-    Realised on matrix units E[i][j] (0-based).  Cartan basis
-    h_k = E[k][k] - E[k+1][k+1], named "h1", "h2", ...; the raising vector
-    of the root alpha_ij (i < j) is E[i][j] and its lowering partner is
-    E[j][i].  All signs follow mechanically from
-    [E_ab, E_cd] = delta_bc E_ad - delta_da E_cb; in particular
-    [e1, e2] = +e12 for adjacent simple raising vectors, and
-    [f1, f2] = -f12.  Pairing <E_ij, E_ji> = 1, so the coroot of alpha_ij
-    is E_ii - E_jj, whose coordinates over the h_k equal the root's own
-    coordinates over the simple roots.
+    Matrix data on matrix units E[i][j] (0-based), in basis order: the
+    Cartan basis h_k = E[k][k] - E[k+1][k+1], named "h1", "h2", ..., then
+    for each i < j the raising vector E[i][j] of the root
+    alpha_ij = alpha_i + ... + alpha_{j-1} and its lowering partner E[j][i].
+    The bracket is the commutator [E_ab, E_cd] = delta_bc E_ad - delta_da E_cb,
+    so [e1, e2] = +e12 for adjacent simple raising vectors and
+    [f1, f2] = -f12.  The pivot rule reads it back over the basis: each
+    element's pivot is its first unit (E[k][k] for h_k, its one unit for a
+    root vector), and no element has an entry at an earlier pivot, so
+    taking coefficients in basis order gives each h_k the partial sum of
+    the diagonal up to k.  Pairing <E_ij, E_ji> = 1, so the coroot of
+    alpha_ij is E_ii - E_jj, whose coordinates over the h_k equal the
+    root's own coordinates over the simple roots.
 
 ``virasoro``
     Basis L_m (m integer) plus central c, with
@@ -57,7 +62,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import isqrt
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import (
     InvalidAlgebraError,
@@ -394,35 +399,39 @@ class Algebra:
         return f"<algebra {self.name}>"
 
 
-class SpecialLinear(Algebra):
-    """sl(n): traceless n x n matrices over the rationals, on matrix units."""
+class MatrixAlgebra(Algebra):
+    """An algebra of square matrices, given by the matrix of each basis element.
 
-    def __init__(self, n: int) -> None:
-        if n < 2:
-            raise ValueError("sl(n) needs n >= 2")
-        self.n = n
-        self.name = f"sl{n}"
-        self.cartan_rank = n - 1
-        self.cartan_names = tuple(f"h{k + 1}" for k in range(n - 1))
-        self.simple_generator_count = n - 1
-        self.finite_roots = True
-        # Each basis element's matrix units, and the inverse for the
-        # off-diagonal units.
-        self._units: dict[BaseElement, dict[tuple[int, int], Fraction]] = {
-            BaseElement.cartan(k): {(k, k): Fraction(1), (k + 1, k + 1): Fraction(-1)}
-            for k in range(n - 1)
-        }
-        self._elements: dict[tuple[int, int], BaseElement] = {}
-        roots = []
-        for i in range(n):
-            for j in range(i + 1, n):
-                # alpha_ij = alpha_i + ... + alpha_{j-1}, the root of E[i][j]
-                root = Root(tuple(1 if i <= k < j else 0 for k in range(n - 1)))
-                roots.append(root)
-                for signed, unit in ((root, (i, j)), (-root, (j, i))):
-                    x = self._elements[unit] = BaseElement.of_root(signed)
-                    self._units[x] = {unit: Fraction(1)}
-        self._roots = sorted(roots, key=root_order_key)
+    ``units`` maps every basis element, in basis order, to its matrix as a
+    dict from matrix unit (i, j) to a nonzero entry.  The root catalog, the
+    simple-generator count and the Cartan rank are read off its keys; the
+    Cartan names are "h1", "h2", ...  Subclasses supply the pairing, the
+    coroots and ``simple_root_action``.
+
+    The bracket is the matrix commutator, expanded back over the basis by
+    the pivot rule: each element's pivot is its first unit, and in basis
+    order each element takes the commutator's entry at its pivot (divided
+    by its own) as its coefficient and subtracts its contribution.  The
+    rule is exact when no element has an entry at an earlier element's
+    pivot, which the constructor checks; a commutator outside the span of
+    the basis leaves a residual and raises ``InvalidAlgebraError``.
+    """
+
+    finite_roots = True
+
+    def __init__(self, name: str, units: dict[BaseElement, dict[tuple[int, int], int | Fraction]]) -> None:
+        self.name = name
+        self._units = {x: {u: Fraction(e) for u, e in m.items()} for x, m in units.items()}
+        self._pivots: list[tuple[BaseElement, tuple[int, int]]] = []
+        for x, m in self._units.items():
+            if any(pivot in m for _, pivot in self._pivots):
+                raise InvalidAlgebraError(f"{name}: {x} has an entry at an earlier element's pivot")
+            self._pivots.append((x, next(iter(m))))
+        roots = [x.root for x in self._units if x.root is not None]
+        self._roots = sorted((r for r in roots if r.is_positive), key=root_order_key)
+        self.simple_generator_count = len(roots[0].coords)
+        self.cartan_rank = len(self._units) - len(roots)
+        self.cartan_names = tuple(f"h{k + 1}" for k in range(self.cartan_rank))
 
     def positive_roots(self, max_height: int | None = None) -> list[Root]:
         return [r for r in self._roots if max_height is None or r.height <= max_height]
@@ -430,27 +439,47 @@ class SpecialLinear(Algebra):
     def is_root(self, root: Root) -> bool:
         return BaseElement.of_root(root) in self._units
 
+    def _structure(self, x: BaseElement, y: BaseElement) -> LinComb:
+        units: dict[tuple[int, int], Fraction] = {}
+        for (a, b), cx in self._units[x].items():
+            for (c, d), cy in self._units[y].items():
+                if b == c:
+                    add_term(units, (a, d), cx * cy)
+                if d == a:
+                    add_term(units, (c, b), -cx * cy)
+        terms = {}
+        for z, pivot in self._pivots:
+            if pivot in units:
+                m = self._units[z]
+                coeff = terms[z] = units[pivot] / m[pivot]
+                for u, e in m.items():
+                    add_term(units, u, -coeff * e)
+        if units:
+            raise InvalidAlgebraError(f"{self.name}: [{x}, {y}] leaves the span of the basis")
+        return LinComb.wrap(terms)
+
+
+class SpecialLinear(MatrixAlgebra):
+    """sl(n): traceless n x n matrices over the rationals, on matrix units."""
+
+    def __init__(self, n: int) -> None:
+        if n < 2:
+            raise ValueError("sl(n) needs n >= 2")
+        units = {BaseElement.cartan(k): {(k, k): 1, (k + 1, k + 1): -1} for k in range(n - 1)}
+        for i in range(n):
+            for j in range(i + 1, n):
+                # alpha_ij = alpha_i + ... + alpha_{j-1}, the root of E[i][j]
+                root = Root(tuple(1 if i <= k < j else 0 for k in range(n - 1)))
+                units[BaseElement.of_root(root)] = {(i, j): 1}
+                units[BaseElement.of_root(-root)] = {(j, i): 1}
+        super().__init__(f"sl{n}", units)
+
     def simple_root_action(self, s: int) -> CartanVector:
         # Cartan matrix of type A: alpha_s(h_k).
         return tuple(
             Fraction(2 if k == s else -1 if abs(k - s) == 1 else 0)
             for k in range(self.cartan_rank)
         )
-
-    def _structure(self, x: BaseElement, y: BaseElement) -> LinComb:
-        units: dict[tuple[int, int], Fraction] = {}
-        for (a, b), cx in self._units[x].items():
-            for (c, d), cy in self._units[y].items():
-                if b == c:
-                    units[a, d] = units.get((a, d), 0) + cx * cy
-                if d == a:
-                    units[c, b] = units.get((c, b), 0) - cx * cy
-        # The traceless diagonal expands over the h_k with partial sums.
-        diagonal = [units.get((k, k), 0) for k in range(self.n)]
-        assert sum(diagonal) == 0, "commutator of traceless matrices must be traceless"
-        terms = [(BaseElement.cartan(k), sum(diagonal[: k + 1])) for k in range(self.n - 1)]
-        terms += [(self._elements[u], c) for u, c in units.items() if u[0] != u[1]]
-        return LinComb(terms)
 
     def pairing(self, alpha: Root) -> Fraction:
         self.check_positive_root(alpha)
@@ -567,56 +596,6 @@ class OscillatorAlgebra(_RankOne):
         if top[1] == 0:
             return self.positive_roots(max_height), max_height
         return [], None
-
-
-class RescaledLowering(Algebra):
-    """The same algebra with each lowering vector y_alpha replaced by
-    scale(alpha) * y_alpha.
-
-    Used to probe that determinant zero sets do not depend on the choice of
-    lowering basis.  Raising and Cartan vectors, and so the coroots, are
-    untouched.
-    """
-
-    def __init__(self, base: Algebra, scale: Callable[[Root], Fraction]) -> None:
-        self.base = base
-        self._scale = scale
-        self.name = f"{base.name}[rescaled]"
-        self.cartan_rank = base.cartan_rank
-        self.cartan_names = base.cartan_names
-        self.simple_generator_count = base.simple_generator_count
-        self.finite_roots = base.finite_roots
-
-    def _factor(self, x: BaseElement) -> Fraction:
-        if x.root is not None and not x.root.is_positive:
-            s = Fraction(self._scale(-x.root))
-            if not s:
-                raise InvalidAlgebraError("lowering rescale factors must be nonzero")
-            return s
-        return Fraction(1)
-
-    def positive_roots(self, max_height: int | None = None) -> list[Root]:
-        return self.base.positive_roots(max_height)
-
-    def is_root(self, root: Root) -> bool:
-        return self.base.is_root(root)
-
-    def simple_root_action(self, s: int) -> CartanVector:
-        return self.base.simple_root_action(s)
-
-    def _structure(self, x: BaseElement, y: BaseElement) -> LinComb:
-        raw = self.base.bracket(x, y)
-        s = self._factor(x) * self._factor(y)
-        return LinComb((z, s * c / self._factor(z)) for z, c in raw.items())
-
-    def pairing(self, alpha: Root) -> Fraction:
-        return self.base.pairing(alpha) * Fraction(self._scale(alpha))
-
-    def coroot(self, alpha: Root) -> CartanVector:
-        return self.base.coroot(alpha)
-
-    def coroot_zeros(self, top: CartanVector, max_height: int) -> tuple[list[Root], int | None]:
-        return self.base.coroot_zeros(top, max_height)
 
 
 BUILTIN_ALGEBRAS = ("sl2", "sl3", "sl4", "virasoro", "oscillator")

@@ -164,25 +164,32 @@ def enumerate_monomials(chi: Root, alg: TruncatedAlgebra) -> list[Monomial]:
     """All PBW monomials of weight chi, in canonical order.
 
     The list's length is the dimension of the Verma-module weight space at
-    (highest weight - chi).
+    (highest weight - chi).  The walk fixes one exponent per generator, in
+    canonical generator order and largest exponent first, so it recurses
+    once per generator rather than once per factor; descending-lex exponent
+    vectors are the lex order on the sorted factor sequences.
     """
     _check_chi(chi, alg)
     gens = lowering_generators(chi, alg)
-    drops = [-g.elem.root for g in gens]
+    drops = [(-g.elem.root).coords for g in gens]
     out: list[Monomial] = []
     stack: list[CurrentElement] = []
 
-    def extend(start: int, remaining: Root) -> None:
-        if remaining.is_zero:
-            out.append(tuple(stack))
+    def extend(i: int, remaining: tuple[int, ...]) -> None:
+        if i == len(gens):
+            if not any(remaining):
+                out.append(tuple(stack))
             return
-        for i in range(start, len(gens)):
-            if drops[i].fits_within(remaining):
-                stack.append(gens[i])
-                extend(i, remaining - drops[i])
-                stack.pop()
+        drop = drops[i]
+        top = min(r // d for r, d in zip(remaining, drop) if d)
+        # The last generator only tries the exponent that could empty the remainder.
+        lowest = top if i == len(gens) - 1 else 0
+        for k in range(top, lowest - 1, -1):
+            stack.extend([gens[i]] * k)
+            extend(i + 1, tuple(r - k * d for r, d in zip(remaining, drop)))
+            del stack[len(stack) - k:]
 
-    extend(0, chi)
+    extend(0, chi.coords)
     return out
 
 

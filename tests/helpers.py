@@ -1,9 +1,10 @@
-"""Shared construction helpers for the test suite."""
+"""Shared construction helpers and test-side algebras for the test suite."""
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from typing import Callable
 
 from tcla import (
     Algebra,
@@ -14,12 +15,132 @@ from tcla import (
     TruncatedAlgebra,
     VermaModule,
     WeightFunctional,
+    algebra,
     enumerate_monomials,
     linalg,
     monomial_weight,
     shapovalov_matrix,
 )
-from tcla.weights import factor_key
+from tcla.errors import InvalidAlgebraError
+from tcla.lie_core import CartanVector, MatrixAlgebra
+from tcla.weights import factor_key, lowering_generators
+
+
+class Sp4(MatrixAlgebra):
+    """sp4 (type C2) as matrix data, with no bracket of its own.
+
+    h1 = diag(1,-1,-1,1), h2 = diag(0,1,0,-1); each lowering vector is its
+    raising vector's transpose and every pairing is 1, so the coroots
+    h_{a1+a2} = h1 + 2 h2 and h_{2a1+a2} = h1 + h2 differ from the roots'
+    own coordinates.
+    """
+
+    RAISING = {
+        Root((1, 0)): {(0, 1): 1, (3, 2): -1},
+        Root((0, 1)): {(1, 3): 1},
+        Root((1, 1)): {(0, 3): 1, (1, 2): 1},
+        Root((2, 1)): {(0, 2): 1},
+    }
+    COROOTS = {Root((1, 0)): (1, 0), Root((0, 1)): (0, 1), Root((1, 1)): (1, 2), Root((2, 1)): (1, 1)}
+
+    def __init__(self) -> None:
+        units = {
+            BaseElement.cartan(0): {(0, 0): 1, (1, 1): -1, (2, 2): -1, (3, 3): 1},
+            BaseElement.cartan(1): {(1, 1): 1, (3, 3): -1},
+        }
+        for root, matrix in self.RAISING.items():
+            units[BaseElement.of_root(root)] = matrix
+            units[BaseElement.of_root(-root)] = {(j, i): e for (i, j), e in matrix.items()}
+        super().__init__("sp4", units)
+
+    def simple_root_action(self, s: int) -> CartanVector:
+        return tuple(Fraction(v) for v in ((2, -1), (-2, 2))[s])
+
+    def pairing(self, alpha: Root) -> Fraction:
+        self.check_positive_root(alpha)
+        return Fraction(1)
+
+    def coroot(self, alpha: Root) -> CartanVector:
+        self.check_positive_root(alpha)
+        return tuple(Fraction(c) for c in self.COROOTS[alpha])
+
+
+def any_algebra(name: str) -> Algebra:
+    """A built-in algebra by catalog name, or the test-side "sp4"."""
+    return Sp4() if name == "sp4" else algebra(name)
+
+
+class RescaledLowering(Algebra):
+    """The same algebra with each lowering vector y_alpha replaced by
+    scale(alpha) * y_alpha.
+
+    Used to probe that determinant zero sets do not depend on the choice of
+    lowering basis.  Raising and Cartan vectors, and so the coroots, are
+    untouched.
+    """
+
+    def __init__(self, base: Algebra, scale: Callable[[Root], Fraction]) -> None:
+        self.base = base
+        self._scale = scale
+        self.name = f"{base.name}[rescaled]"
+        self.cartan_rank = base.cartan_rank
+        self.cartan_names = base.cartan_names
+        self.simple_generator_count = base.simple_generator_count
+        self.finite_roots = base.finite_roots
+
+    def _factor(self, x: BaseElement) -> Fraction:
+        if x.root is not None and not x.root.is_positive:
+            s = Fraction(self._scale(-x.root))
+            if not s:
+                raise InvalidAlgebraError("lowering rescale factors must be nonzero")
+            return s
+        return Fraction(1)
+
+    def positive_roots(self, max_height: int | None = None) -> list[Root]:
+        return self.base.positive_roots(max_height)
+
+    def is_root(self, root: Root) -> bool:
+        return self.base.is_root(root)
+
+    def simple_root_action(self, s: int) -> CartanVector:
+        return self.base.simple_root_action(s)
+
+    def _structure(self, x: BaseElement, y: BaseElement) -> LinComb:
+        raw = self.base.bracket(x, y)
+        s = self._factor(x) * self._factor(y)
+        return LinComb((z, s * c / self._factor(z)) for z, c in raw.items())
+
+    def pairing(self, alpha: Root) -> Fraction:
+        return self.base.pairing(alpha) * Fraction(self._scale(alpha))
+
+    def coroot(self, alpha: Root) -> CartanVector:
+        return self.base.coroot(alpha)
+
+    def coroot_zeros(self, top: CartanVector, max_height: int) -> tuple[list[Root], int | None]:
+        return self.base.coroot_zeros(top, max_height)
+
+
+def enumerate_monomials_per_factor(chi: Root, alg: TruncatedAlgebra) -> list:
+    """The monomials of weight chi by a walk that appends one factor per
+    step, never smaller than the last: the order oracle for
+    ``enumerate_monomials``."""
+    gens = lowering_generators(chi, alg)
+    drops = [-g.elem.root for g in gens]
+    out: list = []
+    stack: list = []
+
+    def extend(start: int, remaining: Root) -> None:
+        if remaining.is_zero:
+            out.append(tuple(stack))
+            return
+        for i in range(start, len(gens)):
+            if drops[i].fits_within(remaining):
+                stack.append(gens[i])
+                extend(i, remaining - drops[i])
+                stack.pop()
+
+    extend(0, chi)
+    return out
 
 
 def rat(rng: random.Random, lo: int = -9, hi: int = 9, maxden: int = 4) -> Fraction:

@@ -13,6 +13,8 @@ from fractions import Fraction
 import pytest
 
 from helpers import (
+    RescaledLowering,
+    any_algebra,
     basis_sample,
     bracket_ext,
     determinant_at,
@@ -24,7 +26,6 @@ from tcla import (
     BUILTIN_ALGEBRAS,
     BaseElement,
     LinComb,
-    RescaledLowering,
     Root,
     TruncatedAlgebra,
     VermaModule,
@@ -83,11 +84,11 @@ def test_criterion_2_hankel_law():
 
 @pytest.mark.parametrize(
     "name,max_height",
-    [("sl2", 2), ("sl3", 2), ("virasoro", 4), ("oscillator", 3)],
+    [("sl2", 2), ("sl3", 2), ("virasoro", 4), ("oscillator", 3), ("sp4", 3)],
 )
 @pytest.mark.parametrize("nilp", [1, 2])
 def test_criterion_3_criterion_vs_scan_cross_validation(name, max_height, nilp):
-    report = cross_validate(algebra(name), nilp, 100, seed=SEED, max_height=max_height)
+    report = cross_validate(any_algebra(name), nilp, 100, seed=SEED, max_height=max_height)
     if report.disagreements:
         bad = [rec for rec in report.records if not rec["agree"]]
         pytest.fail(

@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -22,6 +23,7 @@ def write_weight(tmp_path, doc, name="lambda.json"):
 
 SL2_WEIGHT = {"levels": [{"h1": "5"}, {"h1": "3"}]}
 VIR_WEIGHT = {"levels": [{}, {}, {"L0": "1", "c": "-8"}]}
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def test_algebras_listing(capsys):
@@ -69,6 +71,28 @@ def test_shapovalov_at_dimension_108_matches_the_product_law(tmp_path, capsys):
     levels = [{name: Fraction(value) for name, value in level.items()} for level in doc["levels"]]
     weight = WeightFunctional.from_named(base, 2, levels)
     assert lines[-1] == f"det = {format_rational(determinant_law(alg, weight, Root((5,))))}"
+
+
+# Full stdout of sl(n) commands, --json output included, pinned byte for byte.
+# The weight files live beside the goldens.
+SL_GOLDEN_COMMANDS = [
+    ("sl3_shapovalov.txt", ["shapovalov", "--algebra", "sl3", "--nilp", "1",
+                            "--lambda", "sl3_lambda.json", "--chi", "2,1", "--json", "-"]),
+    ("sl4_scan.txt", ["scan", "--algebra", "sl4", "--nilp", "1",
+                      "--lambda", "sl4_lambda.json", "--max-height", "3", "--json", "-"]),
+    ("sl3_validate.txt", ["validate", "--algebra", "sl3", "--nilp", "1", "--samples", "10",
+                          "--seed", "3", "--max-height", "2", "--json", "-"]),
+    ("sl4_check.txt", ["check", "--algebra", "sl4", "--nilp", "1", "--lambda", "sl4_lambda.json"]),
+]
+
+
+@pytest.mark.parametrize("fname, argv", SL_GOLDEN_COMMANDS)
+def test_sl_command_output_matches_its_golden(fname, argv, capsys):
+    argv = [str(GOLDEN / a) if a.endswith("_lambda.json") else a for a in argv]
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out.encode("utf-8") == (GOLDEN / fname).read_bytes()
 
 
 def test_check_virasoro_reducible(tmp_path, capsys):
@@ -208,6 +232,26 @@ def test_weight_space_at_the_limit_is_accepted(tmp_path, capsys, monkeypatch):
     assert main(["shapovalov", "--algebra", "sl2", "--nilp", "1", "--lambda", lam, "--chi", "3"]) == 0
     assert capsys.readouterr().out.startswith("chi=(3) size=4\n")
     code = main(["shapovalov", "--algebra", "sl2", "--nilp", "1", "--lambda", lam, "--chi", "4"])
+    assert_input_error(capsys, code)
+
+
+def test_check_height_at_the_limit_is_accepted(tmp_path, capsys, monkeypatch):
+    # A zero top level kills every Virasoro coroot, so check lists every
+    # root up to the height; past the limit it refuses instead.
+    monkeypatch.setattr(cli, "MAX_CHECK_HEIGHT", 5)
+    lam = write_weight(tmp_path, {"levels": [{}, {}]})
+    assert main(["check", "--algebra", "virasoro", "--nilp", "1", "--lambda", lam, "--max-height", "5"]) == 0
+    assert capsys.readouterr().out == (
+        "REDUCIBLE, witnesses m=1, m=2, m=3, m=4, m=5 (witnesses listed up to height 5)\n"
+    )
+    code = main(["check", "--algebra", "virasoro", "--nilp", "1", "--lambda", lam, "--max-height", "6"])
+    assert_input_error(capsys, code)
+
+
+def test_check_height_past_the_limit_exit_code(tmp_path, capsys):
+    lam = write_weight(tmp_path, {"levels": [{}, {}]})
+    height = str(cli.MAX_CHECK_HEIGHT + 1)
+    code = main(["check", "--algebra", "oscillator", "--nilp", "1", "--lambda", lam, "--max-height", height])
     assert_input_error(capsys, code)
 
 

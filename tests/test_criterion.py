@@ -7,10 +7,9 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import rand_weight, rat
+from helpers import RescaledLowering, rand_weight, rat
 from tcla import (
     Algebra,
-    RescaledLowering,
     Root,
     TruncatedAlgebra,
     WeightFunctional,

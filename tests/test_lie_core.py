@@ -8,19 +8,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import basis_sample, bracket_ext
+from helpers import RescaledLowering, Sp4, any_algebra, basis_sample, bracket_ext
 from tcla import (
     BUILTIN_ALGEBRAS,
     BaseElement,
     CurrentElement,
+    InvalidAlgebraError,
     LinComb,
     NotARootError,
-    RescaledLowering,
     Root,
     UnknownAlgebraError,
     UnknownElementError,
     algebra,
 )
+from tcla.lie_core import MatrixAlgebra
 
 SL2 = algebra("sl2")
 SL3 = algebra("sl3")
@@ -162,6 +163,34 @@ def test_sl_bracket_is_the_matrix_commutator(n):
             assert base.bracket(x, y) == _in_basis(n, commutator), (x, y)
 
 
+def test_matrix_bracket_outside_the_span_raises():
+    # sl2's root vectors without h: [e, f] = E00 - E11 has no basis element
+    # to land on, and the first bracket says so.
+    e, f = BaseElement.of_root(ALPHA), BaseElement.of_root(-ALPHA)
+    no_cartan = MatrixAlgebra("sl2-without-h", {e: {(0, 1): 1}, f: {(1, 0): 1}})
+    assert no_cartan.bracket(e, e) == LinComb()
+    for _ in range(2):
+        with pytest.raises(InvalidAlgebraError):
+            no_cartan.bracket(e, f)
+
+
+def test_matrix_algebra_refuses_an_entry_at_an_earlier_pivot():
+    # h1 = E00 - E11 and E00 - E22 span sl3's Cartan, but the second has an
+    # entry at the first one's pivot E00, so the pivot rule cannot read it.
+    units = {BaseElement.cartan(0): {(0, 0): 1, (1, 1): -1}, BaseElement.cartan(1): {(0, 0): 1, (2, 2): -1}}
+    units.update({BaseElement.of_root(Root((1, 0))): {(0, 1): 1}})
+    with pytest.raises(InvalidAlgebraError):
+        MatrixAlgebra("sl3-cartan", units)
+
+
+def test_sp4_is_data_on_the_matrix_bracket():
+    # The catalog is read off the matrix data; the bracket is the base's.
+    assert "_structure" not in vars(Sp4)
+    sp4 = Sp4()
+    assert (sp4.cartan_rank, sp4.simple_generator_count, sp4.cartan_names) == (2, 2, ("h1", "h2"))
+    assert sp4.positive_roots() == [Root((1, 0)), Root((0, 1)), Root((1, 1)), Root((2, 1))]
+
+
 def test_coroot_examples():
     assert SL2.coroot(ALPHA) == (Fraction(1),)
     assert VIR.coroot(Root((2,))) == (Fraction(4), Fraction(1, 2))
@@ -169,6 +198,8 @@ def test_coroot_examples():
         assert OSC.coroot(Root((m,))) == (Fraction(0), Fraction(1))
     # sl3: coroot of alpha1+alpha2 is h1 + h2
     assert SL3.coroot(Root((1, 1))) == (Fraction(1), Fraction(1))
+    # sp4: coroot of alpha1+alpha2 is h1 + 2 h2, not the root's coordinates
+    assert Sp4().coroot(Root((1, 1))) == (Fraction(1), Fraction(2))
 
 
 def test_coroot_rejects_non_roots():
@@ -231,17 +262,22 @@ def _pairs(base, bound):
     return [(x, y) for x in elems for y in elems]
 
 
-@pytest.mark.parametrize("name,bound", [("sl2", 3), ("sl3", 3), ("virasoro", 4), ("oscillator", 4)])
+@pytest.mark.parametrize("name,bound", [("sl2", 3), ("sl3", 3), ("virasoro", 4), ("oscillator", 4), ("sp4", 3)])
 def test_antisymmetry(name, bound):
-    base = algebra(name)
+    base = any_algebra(name)
     for x, y in _pairs(base, bound):
         assert base.bracket(x, y) + base.bracket(y, x) == LinComb()
 
 
-@pytest.mark.parametrize("name,bound,triples", [("sl2", 3, None), ("sl3", 3, None), ("virasoro", 4, 200), ("oscillator", 4, 200)])
+@pytest.mark.parametrize(
+    "name,bound,triples",
+    [("sl2", 3, None), ("sl3", 3, None), ("virasoro", 4, 200), ("oscillator", 4, 200), ("sp4", 3, None)],
+)
 def test_jacobi(name, bound, triples):
-    base = algebra(name)
+    base = any_algebra(name)
     elems = basis_sample(base, bound)
+    if base.finite_roots:  # the full basis: 8 for sl3, 10 for sp4
+        assert len(elems) == base.cartan_rank + 2 * len(base.positive_roots())
     rng = random.Random(f"jacobi:{name}")
     if triples is None:
         combos = [(x, y, z) for x in elems for y in elems for z in elems]
@@ -256,9 +292,11 @@ def test_jacobi(name, bound, triples):
         assert total == LinComb(), (x, y, z)
 
 
-@pytest.mark.parametrize("name,bound", [("sl2", 3), ("sl3", 3), ("sl4", 3), ("virasoro", 5), ("oscillator", 5)])
+@pytest.mark.parametrize(
+    "name,bound", [("sl2", 3), ("sl3", 3), ("sl4", 3), ("virasoro", 5), ("oscillator", 5), ("sp4", 3)]
+)
 def test_grading(name, bound):
-    base = algebra(name)
+    base = any_algebra(name)
     zero = Root.zero(base.simple_generator_count)
     for x, y in _pairs(base, bound):
         rx = x.root if x.root is not None else zero
@@ -271,10 +309,12 @@ def test_grading(name, bound):
                 assert term.root == total
 
 
-@pytest.mark.parametrize("name,bound", [("sl2", 1), ("sl3", 2), ("sl4", 3), ("virasoro", 6), ("oscillator", 6)])
+@pytest.mark.parametrize(
+    "name,bound", [("sl2", 1), ("sl3", 2), ("sl4", 3), ("virasoro", 6), ("oscillator", 6), ("sp4", 3)]
+)
 def test_pairing_consistency(name, bound):
     # bracket(x_alpha, y_alpha) = <x_alpha, y_alpha> * h_alpha
-    base = algebra(name)
+    base = any_algebra(name)
     for alpha in base.positive_roots(bound):
         p = base.pairing(alpha)
         h = base.coroot(alpha)
@@ -284,9 +324,11 @@ def test_pairing_consistency(name, bound):
         assert got == p * h_comb
 
 
-@pytest.mark.parametrize("name,bound", [("sl2", 1), ("sl3", 2), ("sl4", 3), ("virasoro", 6), ("oscillator", 6)])
+@pytest.mark.parametrize(
+    "name,bound", [("sl2", 1), ("sl3", 2), ("sl4", 3), ("virasoro", 6), ("oscillator", 6), ("sp4", 3)]
+)
 def test_cartan_action(name, bound):
-    base = algebra(name)
+    base = any_algebra(name)
     for root in base.positive_roots(bound):
         for signed in (root, -root):
             action = base.root_functional(signed)

@@ -6,6 +6,7 @@ from tcla import TruncatedAlgebra, VermaModule, WeightFunctional, lie_core, lina
 
 REMOVED_EXPORTS = (
     "VermaVector", "canonical_monomial", "enumerate_positive_roots", "render", "Rat", "shapovalov_determinant",
+    "RescaledLowering",
 )
 REMOVED_ATTRIBUTES = [
     (tcla.Algebra, "element_label"),
@@ -25,6 +26,7 @@ REMOVED_ATTRIBUTES = [
     (shapovalov, "shapovalov_determinant"),
     (tcla.LinComb, "map_keys"),
     (tcla.Root, "__post_init__"),
+    (lie_core, "RescaledLowering"),
 ]
 
 

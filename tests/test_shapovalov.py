@@ -4,10 +4,9 @@ import random
 from fractions import Fraction
 
 import pytest
-from helpers import determinant_at, determinant_law, lowering, rand_weight
+from helpers import RescaledLowering, any_algebra, determinant_at, determinant_law, lowering, rand_weight
 from tcla import (
     InvalidAlgebraError,
-    RescaledLowering,
     Root,
     TruncatedAlgebra,
     VermaModule,
@@ -397,12 +396,12 @@ def test_monomials_not_closed_under_degree_reversal_raise():
 
 
 @pytest.mark.parametrize("nilp", (1, 2))
-@pytest.mark.parametrize("name", ("sl2", "sl3", "sl4", "virasoro", "oscillator"))
+@pytest.mark.parametrize("name", ("sl2", "sl3", "sl4", "virasoro", "oscillator", "sp4"))
 def test_block_determinant_equals_the_product_law(name, nilp):
     rng = random.Random(f"law:{name}:{nilp}")
-    base = algebra(name)
+    base = any_algebra(name)
     alg = TruncatedAlgebra(base, nilp)
-    height = {"sl2": 4, "sl3": 3, "sl4": 2, "virasoro": 4, "oscillator": 3}[name]
+    height = {"sl2": 4, "sl3": 3, "sl4": 2, "virasoro": 4, "oscillator": 3, "sp4": 5 - nilp}[name]
     for weight in (rand_weight(rng, base, nilp), with_zero_entry(rng, base, nilp)):
         m = VermaModule(alg, weight)
         for chi in positive_lattice_points(base.simple_generator_count, height):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import lowering
+from helpers import any_algebra, enumerate_monomials_per_factor, lowering
 from tcla import (
     DegreeError,
     Root,
@@ -97,11 +97,11 @@ def test_enumeration_count_matches_binomial():
 
 
 @pytest.mark.parametrize("nilp", (1, 2))
-@pytest.mark.parametrize("name", ("sl2", "sl3", "sl4", "virasoro", "oscillator"))
+@pytest.mark.parametrize("name", ("sl2", "sl3", "sl4", "virasoro", "oscillator", "sp4"))
 def test_weight_space_dimension_counts_the_monomials(name, nilp):
-    base = algebra(name)
+    base = any_algebra(name)
     alg = TruncatedAlgebra(base, nilp)
-    height = {"sl2": 6, "sl3": 4, "sl4": 3, "virasoro": 6, "oscillator": 5}[name]
+    height = {"sl2": 6, "sl3": 4, "sl4": 3, "virasoro": 6, "oscillator": 5, "sp4": 4}[name]
     for chi in [Root((0,) * base.simple_generator_count)] + positive_lattice_points(base.simple_generator_count, height):
         assert weight_space_dimension(chi, alg) == len(enumerate_monomials(chi, alg))
 
@@ -142,6 +142,26 @@ def test_enumeration_matches_brute_force_hypothesis(a, b, nilp):
     alg = TruncatedAlgebra(algebra("sl3"), nilp)
     chi = Root((a, b))
     assert enumerate_monomials(chi, alg) == brute_force_monomials(chi, alg)
+
+
+@pytest.mark.parametrize("nilp", (1, 2, 3))
+@pytest.mark.parametrize("name", ("sl2", "sl3", "sl4", "virasoro", "oscillator", "sp4"))
+def test_enumeration_follows_the_per_factor_walk(name, nilp):
+    base = any_algebra(name)
+    alg = TruncatedAlgebra(base, nilp)
+    height = {"sl2": 8, "sl3": 4, "sl4": 3, "virasoro": 7, "oscillator": 6, "sp4": 4}[name] - nilp
+    for chi in [Root((0,) * base.simple_generator_count)] + positive_lattice_points(base.simple_generator_count, height):
+        assert enumerate_monomials(chi, alg) == enumerate_monomials_per_factor(chi, alg), chi
+
+
+def test_enumeration_depth_is_not_bound_by_the_factor_count():
+    # 1,100 factors per monomial, far past the interpreter's recursion limit
+    alg = TruncatedAlgebra(algebra("sl2"), 1)
+    f0, f1 = lowering_generators(Root((1,)), alg)
+    monos = enumerate_monomials(Root((1100,)), alg)
+    assert len(monos) == 1101
+    assert monos[0] == (f0,) * 1100 and monos[-1] == (f1,) * 1100
+    assert monos[1] == (f0,) * 1099 + (f1,)
 
 
 def test_enumeration_is_deterministic_and_canonical():
