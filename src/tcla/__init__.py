@@ -29,7 +29,6 @@ from .lie_core import (
     BUILTIN_ALGEBRAS,
     Algebra,
     BaseElement,
-    LinComb,
     OscillatorAlgebra,
     Root,
     SpecialLinear,
@@ -56,7 +55,6 @@ __all__ = [
     "CurrentElement",
     "DegreeError",
     "InvalidAlgebraError",
-    "LinComb",
     "LineSet",
     "Monomial",
     "NotARootError",

@@ -101,6 +101,12 @@ def _check_nilp(nilp: int) -> int:
     return nilp
 
 
+def _load_module_args(args: argparse.Namespace) -> tuple[TruncatedAlgebra, WeightFunctional]:
+    """The truncated algebra and the weight named by --algebra, --nilp and --lambda."""
+    alg = TruncatedAlgebra(algebra(args.algebra), _check_nilp(args.nilp))
+    return alg, _load_weight(args.lambda_file, alg.base, alg.nilp)
+
+
 def _check_at_least(flag: str, value: int, least: int) -> int:
     if value < least:
         raise InputError(f"{flag} must be >= {least}, got {value}")
@@ -171,9 +177,8 @@ def _cmd_algebras(_args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    base = algebra(args.algebra)
-    alg = TruncatedAlgebra(base, _check_nilp(args.nilp))
-    weight = _load_weight(args.lambda_file, base, alg.nilp)
+    alg, weight = _load_module_args(args)
+    base = alg.base
     height = args.max_height if args.max_height is not None else default_scan_height(base)
     if _check_at_least("--max-height", height, 1) > MAX_CHECK_HEIGHT:
         raise InputError(f"--max-height must be <= {MAX_CHECK_HEIGHT}, got {height}")
@@ -191,10 +196,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_shapovalov(args: argparse.Namespace) -> int:
-    base = algebra(args.algebra)
-    alg = TruncatedAlgebra(base, _check_nilp(args.nilp))
-    weight = _load_weight(args.lambda_file, base, alg.nilp)
-    chi = _parse_chi(args.chi, base)
+    alg, weight = _load_module_args(args)
+    chi = _parse_chi(args.chi, alg.base)
     _check_weight_space(chi, alg)
     module = VermaModule(alg, weight)
     matrix = shapovalov_matrix(module, chi)
@@ -210,9 +213,7 @@ def _cmd_shapovalov(args: argparse.Namespace) -> int:
 
 
 def _cmd_scan(args: argparse.Namespace) -> int:
-    base = algebra(args.algebra)
-    alg = TruncatedAlgebra(base, _check_nilp(args.nilp))
-    weight = _load_weight(args.lambda_file, base, alg.nilp)
+    alg, weight = _load_module_args(args)
     height = _check_scan_height(_check_at_least("--max-height", args.max_height, 0), alg)
     report = scan_reducible(weight, alg, height)
     for rec in report.records:

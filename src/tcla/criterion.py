@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 import os
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .current import TruncatedAlgebra
@@ -58,7 +58,10 @@ class ScanRecord:
 class ScanReport:
     max_height: int
     records: list[ScanRecord]
-    zero_chis: list[Root] = field(default_factory=list)
+
+    @property
+    def zero_chis(self) -> list[Root]:
+        return [r.chi for r in self.records if r.det == 0]
 
     @property
     def zero_found(self) -> bool:
@@ -95,14 +98,10 @@ def scan_reducible(weight: WeightFunctional, alg: TruncatedAlgebra, max_height: 
         raise ValueError("max_height must be >= 0")
     module = VermaModule(alg, weight)
     records: list[ScanRecord] = []
-    zero_chis: list[Root] = []
     for chi in positive_lattice_points(alg.base.simple_generator_count, max_height):
         matrix = shapovalov_matrix(module, chi)
-        det = determinant(matrix, alg.nilp)
-        records.append(ScanRecord(chi=chi, dimension=matrix.size, det=det))
-        if det == 0:
-            zero_chis.append(chi)
-    return ScanReport(max_height=max_height, records=records, zero_chis=zero_chis)
+        records.append(ScanRecord(chi=chi, dimension=matrix.size, det=determinant(matrix, alg.nilp)))
+    return ScanReport(max_height=max_height, records=records)
 
 
 # -- cross-validation harness --------------------------------------------------

@@ -6,10 +6,11 @@ degrees and truncates to zero past the nilpotency order N.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import InvalidAlgebraError, UnknownElementError
-from .lie_core import Algebra, BaseElement, LinComb
+from .lie_core import Algebra, BaseElement
 
 
 class CurrentElement(NamedTuple):
@@ -54,8 +55,9 @@ class TruncatedAlgebra:
             )
         self._checked.add(x)
 
-    def bracket(self, x: CurrentElement, y: CurrentElement) -> LinComb:
-        """[a (x) t^i, b (x) t^j] = [a, b] (x) t^(i+j), zero when i+j > N.
+    def bracket(self, x: CurrentElement, y: CurrentElement) -> dict[CurrentElement, Fraction]:
+        """[a (x) t^i, b (x) t^j] = [a, b] (x) t^(i+j), zero when i+j > N,
+        as a fresh dict from basis element to nonzero Fraction.
 
         [a, b] comes from the base algebra's bracket table.  Both elements
         are checked here too, because a truncated pair never reaches it.
@@ -64,9 +66,9 @@ class TruncatedAlgebra:
         self.check(y)
         degree = x.degree + y.degree
         if degree > self.nilp:
-            return LinComb()
+            return {}
         base = self.base.bracket(x.elem, y.elem)
-        return LinComb.wrap({CurrentElement(z, degree): c for z, c in base.items()})
+        return {CurrentElement(z, degree): c for z, c in base.items()}
 
     def __repr__(self) -> str:
         return f"<{self.base.name} (x) k[t]/t^{self.nilp + 1}>"

@@ -18,6 +18,13 @@ constants are closed forms in the mode numbers.  The bracket of the
 truncated current algebra g (x) k[t]/t^(N+1) reads [a, b] off this table
 and only adds the t-degrees.
 
+A linear combination, here and in the Verma module, is a plain dict from
+key to nonzero Fraction, built with ``add_term`` or with a comprehension
+whose values are known to be nonzero.  The cached results of ``bracket``
+and ``dual_raising`` are shared by every caller, so they are read-only
+``MappingProxyType`` views; every other function returns a dict that the
+caller owns.
+
 Built-in conventions
 --------------------
 
@@ -62,7 +69,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import isqrt
-from typing import Iterable, Iterator, NamedTuple
+from types import MappingProxyType
+from typing import Mapping, NamedTuple
 
 from .errors import (
     InvalidAlgebraError,
@@ -157,10 +165,6 @@ class BaseElement(NamedTuple):
     def of_root(root: Root) -> "BaseElement":
         return BaseElement(root)
 
-    @property
-    def is_cartan(self) -> bool:
-        return self.root is None
-
     def __str__(self) -> str:
         if self.root is None:
             return f"h[{self.index}]"
@@ -174,87 +178,6 @@ def add_term(acc: dict, key, c: Fraction) -> None:
         acc[key] = c
     else:
         acc.pop(key, None)
-
-
-class LinComb:
-    """Sparse exact-rational linear combination of hashable keys.
-
-    The library's one combination type: algebra elements are combinations
-    of basis elements, and Verma-module vectors are combinations of PBW
-    monomials (each standing for that monomial applied to the
-    highest-weight vector).  Never stores a zero coefficient, and every
-    coefficient is a Fraction.
-    """
-
-    __slots__ = ("_terms",)
-
-    def __init__(self, terms: Iterable = ()) -> None:
-        acc: dict = {}
-        items = terms.items() if hasattr(terms, "items") else terms
-        for key, coeff in items:
-            add_term(acc, key, Fraction(coeff))
-        self._terms = acc
-
-    @classmethod
-    def wrap(cls, terms: dict) -> "LinComb":
-        """Adopt ``terms`` without copying or normalising it: the caller
-        guarantees Fraction coefficients, none of them zero."""
-        out = cls.__new__(cls)
-        out._terms = terms
-        return out
-
-    @staticmethod
-    def term(key, coeff=1) -> "LinComb":
-        return LinComb([(key, Fraction(coeff))])
-
-    def items(self) -> Iterator:
-        return iter(self._terms.items())
-
-    def keys(self):
-        return self._terms.keys()
-
-    def coefficient(self, key) -> Fraction:
-        return self._terms.get(key, Fraction(0))
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def __len__(self) -> int:
-        return len(self._terms)
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
-    def __add__(self, other: "LinComb") -> "LinComb":
-        out = dict(self._terms)
-        for key, coeff in other._terms.items():
-            add_term(out, key, coeff)
-        return LinComb.wrap(out)
-
-    def __sub__(self, other: "LinComb") -> "LinComb":
-        return self + (-other)
-
-    def __neg__(self) -> "LinComb":
-        return LinComb.wrap({k: -c for k, c in self._terms.items()})
-
-    def __mul__(self, scalar) -> "LinComb":
-        s = Fraction(scalar)
-        if not s:
-            return LinComb()
-        if s == 1:
-            return self  # no method mutates a LinComb, so sharing is safe
-        return LinComb.wrap({k: s * c for k, c in self._terms.items()})
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, LinComb) and self._terms == other._terms
-
-    def __repr__(self) -> str:
-        if not self._terms:
-            return "0"
-        return " + ".join(f"{c}*{k}" for k, c in sorted(self._terms.items(), key=lambda t: str(t[0])))
 
 
 class Algebra:
@@ -286,8 +209,9 @@ class Algebra:
         """Whether a signed coordinate vector of the right arity is a root."""
         raise NotImplementedError
 
-    def _structure(self, x: BaseElement, y: BaseElement) -> LinComb:
-        """[x, y] of two basis elements that ``bracket`` has already validated."""
+    def _structure(self, x: BaseElement, y: BaseElement) -> dict[BaseElement, Fraction]:
+        """[x, y] of two basis elements that ``bracket`` has already
+        validated, as a fresh dict of nonzero Fractions."""
         raise NotImplementedError
 
     def pairing(self, alpha: Root) -> Fraction:
@@ -340,15 +264,16 @@ class Algebra:
                     values[k] += c * action[k]
         return tuple(values)
 
-    def bracket(self, x: BaseElement, y: BaseElement) -> LinComb:
-        """[x, y] of two basis elements, as a LinComb of basis elements.
+    def bracket(self, x: BaseElement, y: BaseElement) -> Mapping[BaseElement, Fraction]:
+        """[x, y] of two basis elements, as a map from basis element to
+        nonzero Fraction coefficient.
 
         Read from the instance's structure-constant table, keyed by the
         pair.  A miss validates both elements, computes the bracket with
         ``_structure`` and stores it, so only valid pairs are ever stored
-        and an invalid pair raises on every call.  The returned LinComb is
-        shared, which is safe because LinComb has no mutating method.
-        Bilinear extension is the caller's duty.
+        and an invalid pair raises on every call.  Every caller shares the
+        stored result, so the table holds read-only ``MappingProxyType``
+        views.  Bilinear extension is the caller's duty.
         """
         table = self.__dict__.setdefault("_brackets", {})
         hit = table.get((x, y))
@@ -356,16 +281,17 @@ class Algebra:
             return hit
         self.check_element(x)
         self.check_element(y)
-        out = table[x, y] = self._structure(x, y)
+        out = table[x, y] = MappingProxyType(self._structure(x, y))
         return out
 
-    def dual_raising(self, alpha: Root) -> LinComb:
+    def dual_raising(self, alpha: Root) -> Mapping[BaseElement, Fraction]:
         """x_alpha / <x_alpha, y_alpha>, the raising vector paired to 1 with y_alpha.
 
-        Cached per instance like ``bracket`` (only valid arguments are ever
-        stored): the Shapovalov builder asks for the same few vectors once
-        per raising action.  Both caches are created on first use because
-        subclasses do not call a common ``__init__``.
+        Cached per instance like ``bracket``, as a read-only view with one
+        term (only valid arguments are ever stored): the Shapovalov builder
+        asks for the same few vectors once per raising action.  Both caches
+        are created on first use because subclasses do not call a common
+        ``__init__``.
         """
         cache = self.__dict__.setdefault("_dual_raising", {})
         hit = cache.get(alpha)
@@ -375,7 +301,7 @@ class Algebra:
         p = Fraction(self.pairing(alpha))
         if not p:
             raise InvalidAlgebraError(f"{self.name}: zero pairing at {alpha} violates non-degeneracy")
-        dual = cache[alpha] = LinComb.term(BaseElement.of_root(alpha), 1 / p)
+        dual = cache[alpha] = MappingProxyType({BaseElement.of_root(alpha): 1 / p})
         return dual
 
     def coroot_zeros(self, top: CartanVector, max_height: int) -> tuple[list[Root], int | None]:
@@ -439,7 +365,7 @@ class MatrixAlgebra(Algebra):
     def is_root(self, root: Root) -> bool:
         return BaseElement.of_root(root) in self._units
 
-    def _structure(self, x: BaseElement, y: BaseElement) -> LinComb:
+    def _structure(self, x: BaseElement, y: BaseElement) -> dict[BaseElement, Fraction]:
         units: dict[tuple[int, int], Fraction] = {}
         for (a, b), cx in self._units[x].items():
             for (c, d), cy in self._units[y].items():
@@ -456,7 +382,7 @@ class MatrixAlgebra(Algebra):
                     add_term(units, u, -coeff * e)
         if units:
             raise InvalidAlgebraError(f"{self.name}: [{x}, {y}] leaves the span of the basis")
-        return LinComb.wrap(terms)
+        return terms
 
 
 class SpecialLinear(MatrixAlgebra):
@@ -525,13 +451,18 @@ class VirasoroAlgebra(_RankOne):
             return x.root.coords[0]
         return 0 if x.index == 0 else None
 
-    def _structure(self, x: BaseElement, y: BaseElement) -> LinComb:
+    def _structure(self, x: BaseElement, y: BaseElement) -> dict[BaseElement, Fraction]:
         m, n = self._mode(x), self._mode(y)
-        if m is None or n is None:
-            return LinComb()
+        if m is None or n is None or m == n:
+            return {}
         if m != -n:
-            return LinComb.term(BaseElement.of_root(Root((m + n,))), m - n)
-        return LinComb([(BaseElement.cartan(0), m - n), (BaseElement.cartan(1), Fraction(m**3 - m, 12))])
+            return {BaseElement.of_root(Root((m + n,))): Fraction(m - n)}
+        # m = -n != 0; the central term vanishes at m = +-1.
+        out = {BaseElement.cartan(0): Fraction(m - n)}
+        central = Fraction(m**3 - m, 12)
+        if central:
+            out[BaseElement.cartan(1)] = central
+        return out
 
     def pairing(self, alpha: Root) -> Fraction:
         self.check_positive_root(alpha)
@@ -571,17 +502,17 @@ class OscillatorAlgebra(_RankOne):
         # [d, a_m] = m a_m, [hbar, a_m] = 0.
         return (Fraction(1), Fraction(0))
 
-    def _structure(self, x: BaseElement, y: BaseElement) -> LinComb:
-        # d is Cartan vector 0 and hbar (index 1) is central.
+    def _structure(self, x: BaseElement, y: BaseElement) -> dict[BaseElement, Fraction]:
+        # d is Cartan vector 0 and hbar (index 1) is central; modes are nonzero.
         d = BaseElement.cartan(0)
         if x.root is not None and y.root is not None:
             m, n = x.root.coords[0], y.root.coords[0]
-            return LinComb.term(BaseElement.cartan(1), m) if m == -n else LinComb()
+            return {BaseElement.cartan(1): Fraction(m)} if m == -n else {}
         if x == d and y.root is not None:
-            return LinComb.term(y, y.root.coords[0])
+            return {y: Fraction(y.root.coords[0])}
         if y == d and x.root is not None:
-            return LinComb.term(x, -x.root.coords[0])
-        return LinComb()
+            return {x: Fraction(-x.root.coords[0])}
+        return {}
 
     def pairing(self, alpha: Root) -> Fraction:
         self.check_positive_root(alpha)

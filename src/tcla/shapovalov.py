@@ -54,14 +54,13 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 from . import linalg
 from .errors import InvalidAlgebraError
-from .lie_core import LinComb, Root, add_term
+from .lie_core import Root, add_term
 from .current import CurrentElement
 from .rationals import format_rational
-from .verma import VermaModule
+from .verma import Terms, VermaModule
 from .weights import Monomial, enumerate_monomials, format_monomial
 
 _ZERO = Fraction(0)
@@ -82,7 +81,7 @@ class ShapovalovMatrix:
         return len(self.monomials)
 
 
-def ascend(module: VermaModule, path: Monomial, v: LinComb) -> LinComb:
+def ascend(module: VermaModule, path: Monomial, v: Terms) -> Terms:
     """Apply the upward path dual to ``path``.
 
     The ascent retraces the descent step by step: the descent applies the
@@ -96,14 +95,17 @@ def ascend(module: VermaModule, path: Monomial, v: LinComb) -> LinComb:
 
     The matrix builder only ever calls it with a one-factor path (the
     raise by e_{f0} in the recursion); the full path is the direct
-    definition of an entry, which the tests use as the oracle.
+    definition of an entry, which the tests use as the oracle.  The
+    result is a fresh dict, except that an empty path returns ``v``.
     """
     base = module.alg.base
     for f in path:
         assert f.elem.root is not None
         ((x, coeff),) = base.dual_raising(-f.elem.root).items()
-        v = coeff * module.act(CurrentElement(x, f.degree), v)
-        if v.is_zero:
+        v = module.act(CurrentElement(x, f.degree), v)
+        if coeff != 1:
+            v = {m: coeff * c for m, c in v.items()}
+        if not v:
             break
     return v
 
@@ -145,30 +147,16 @@ def _canonical(module: VermaModule, chi: Root) -> Canonical:
     return out
 
 
-def shapovalov_matrix(
-    module: VermaModule,
-    chi: Root,
-    monomials: Sequence[Monomial] | None = None,
-) -> ShapovalovMatrix:
+def shapovalov_matrix(module: VermaModule, chi: Root) -> ShapovalovMatrix:
     """The matrix of descent/ascent scalars at weight drop chi, indexed by
-    the canonical monomial list or by an explicit reordering of it.
+    the canonical monomial list.
 
-    The result is a dense copy of the module's cached sparse rows.  An
-    override that is not a reordering of the canonical monomials raises
-    ValueError.
+    The result is a dense copy of the module's cached sparse rows.
     """
-    canon, index, rows = _canonical(module, chi)
-    if monomials is None:
-        monos, order = list(canon), range(len(canon))
-    else:
-        monos = list(monomials)
-        order = [index.get(m) for m in monos]
-        if len(order) != len(canon) or set(order) != set(range(len(canon))):
-            raise ValueError(
-                f"monomials must be a reordering of the {len(canon)} canonical monomials at chi={chi}"
-            )
-    entries = [[rows[a].get(b, _ZERO) for b in order] for a in order]
-    return ShapovalovMatrix(chi=chi, monomials=monos, entries=entries)
+    monos, _, rows = _canonical(module, chi)
+    order = range(len(monos))
+    entries = [[row.get(j, _ZERO) for j in order] for row in rows]
+    return ShapovalovMatrix(chi=chi, monomials=list(monos), entries=entries)
 
 
 def _sign(perm: list[int]) -> int:

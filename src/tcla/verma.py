@@ -1,11 +1,11 @@
 """The Verma-module engine.
 
-Vectors are ``LinComb``s keyed by PBW monomials, each monomial standing
-for its product applied to the highest-weight vector.  The action of an
-arbitrary generator is computed by straightening: x . (f0 f1 ... fk) v is
-rewritten through x f0 = f0 x + [x, f0] until every product is a
-canonically ordered monomial, Cartan generators evaluate through the
-weight functional on v, and raising generators annihilate v.
+Vectors are dicts from PBW monomial to nonzero Fraction (``Terms``), each
+monomial standing for its product applied to the highest-weight vector.
+The action of an arbitrary generator is computed by straightening:
+x . (f0 f1 ... fk) v is rewritten through x f0 = f0 x + [x, f0] until every
+product is a canonically ordered monomial, Cartan generators evaluate
+through the weight functional on v, and raising generators annihilate v.
 
 Single-monomial actions are memoised per module instance (the results
 depend on the highest weight), which makes the repeated sweeps performed
@@ -18,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .current import CurrentElement, TruncatedAlgebra
-from .lie_core import LinComb, Root, add_term
+from .lie_core import Root, add_term
 from .weights import Monomial, WeightFunctional, factor_key
 
 _ONE = Fraction(1)
@@ -46,21 +46,22 @@ class VermaModule:
         # entry), filled by shapovalov._canonical.
         self._matrices: dict[Root, tuple] = {}
 
-    def highest_weight_vector(self) -> LinComb:
-        return LinComb.wrap({(): _ONE})
+    def highest_weight_vector(self) -> Terms:
+        return {(): _ONE}
 
     # -- public action -------------------------------------------------------
 
-    def act(self, x: CurrentElement, v: LinComb) -> LinComb:
-        """x . v for any generator x, straightened to the PBW basis."""
+    def act(self, x: CurrentElement, v: Terms) -> Terms:
+        """x . v for any generator x, straightened to the PBW basis, as a
+        fresh dict that the caller owns."""
         self.alg.check(x)
         out: Terms = {}
         for mono, coeff in v.items():
             for m2, c2 in self._act_mono(x, mono).items():
                 add_term(out, m2, coeff * c2)
-        return LinComb.wrap(out)
+        return out
 
-    def descend(self, mono: Monomial) -> LinComb:
+    def descend(self, mono: Monomial) -> Terms:
         """The basis vector mono . v_highest (a single canonical monomial),
         built by acting with its factors, rightmost first."""
         v = self.highest_weight_vector()

@@ -10,8 +10,8 @@ from tcla import (
     Algebra,
     BaseElement,
     CurrentElement,
-    LinComb,
     Root,
+    ShapovalovMatrix,
     TruncatedAlgebra,
     VermaModule,
     WeightFunctional,
@@ -22,7 +22,7 @@ from tcla import (
     shapovalov_matrix,
 )
 from tcla.errors import InvalidAlgebraError
-from tcla.lie_core import CartanVector, MatrixAlgebra
+from tcla.lie_core import CartanVector, MatrixAlgebra, add_term
 from tcla.weights import factor_key, lowering_generators
 
 
@@ -105,10 +105,11 @@ class RescaledLowering(Algebra):
     def simple_root_action(self, s: int) -> CartanVector:
         return self.base.simple_root_action(s)
 
-    def _structure(self, x: BaseElement, y: BaseElement) -> LinComb:
+    def _structure(self, x: BaseElement, y: BaseElement) -> dict[BaseElement, Fraction]:
+        # The factors are nonzero, so no coefficient becomes zero.
         raw = self.base.bracket(x, y)
         s = self._factor(x) * self._factor(y)
-        return LinComb((z, s * c / self._factor(z)) for z, c in raw.items())
+        return {z: s * c / self._factor(z) for z, c in raw.items()}
 
     def pairing(self, alpha: Root) -> Fraction:
         return self.base.pairing(alpha) * Fraction(self._scale(alpha))
@@ -141,6 +142,21 @@ def enumerate_monomials_per_factor(chi: Root, alg: TruncatedAlgebra) -> list:
 
     extend(0, chi)
     return out
+
+
+def lin_sum(*parts) -> dict:
+    """The sparse sum of s * v over the (scalar s, combination v) pairs,
+    built with ``add_term``, so it holds no zero coefficient."""
+    out: dict = {}
+    for s, v in parts:
+        for key, c in v.items():
+            add_term(out, key, Fraction(s) * c)
+    return out
+
+
+def is_sparse(v) -> bool:
+    """Whether every coefficient of ``v`` is a nonzero Fraction."""
+    return all(type(c) is Fraction and c for c in v.values())
 
 
 def rat(rng: random.Random, lo: int = -9, hi: int = 9, maxden: int = 4) -> Fraction:
@@ -183,22 +199,22 @@ def rand_vector(
     module: VermaModule,
     max_factors: int = 3,
     max_root_height: int = 2,
-) -> LinComb:
+) -> dict:
     """Random small vector built by lowering words from the highest-weight vector."""
     base = module.alg.base
     roots = base.positive_roots(max_root_height)
-    v = LinComb()
+    parts = []
     for _ in range(rng.randint(1, 2)):
         w = module.highest_weight_vector()
         for _ in range(rng.randint(0, max_factors)):
             w = module.act(
                 lowering(base, rng.choice(roots), rng.randint(0, module.alg.nilp)), w
             )
-        v = v + rat(rng) * w
-    return v
+        parts.append((rat(rng), w))
+    return lin_sum(*parts)
 
 
-def vector_weights(v: LinComb, generators: int) -> set[Root]:
+def vector_weights(v: dict, generators: int) -> set[Root]:
     """The weight drops of the monomials a Verma-module vector involves."""
     return {monomial_weight(mono, generators) for mono in v.keys()}
 
@@ -206,6 +222,16 @@ def vector_weights(v: LinComb, generators: int) -> set[Root]:
 def determinant_at(module: VermaModule, chi: Root) -> Fraction:
     """Exact determinant of the Shapovalov matrix at weight drop chi."""
     return linalg.determinant(shapovalov_matrix(module, chi).entries)
+
+
+def reorder(matrix: ShapovalovMatrix, monomials: list) -> ShapovalovMatrix:
+    """``matrix`` with rows and columns permuted into the order of
+    ``monomials``, a reordering of its own monomials."""
+    index = {m: k for k, m in enumerate(matrix.monomials)}
+    order = [index[m] for m in monomials]
+    assert sorted(order) == list(range(matrix.size))
+    entries = [[matrix.entries[a][b] for b in order] for a in order]
+    return ShapovalovMatrix(chi=matrix.chi, monomials=list(monomials), entries=entries)
 
 
 def determinant_law(alg: TruncatedAlgebra, weight: WeightFunctional, chi: Root) -> Fraction:
@@ -236,13 +262,9 @@ def determinant_law(alg: TruncatedAlgebra, weight: WeightFunctional, chi: Root) 
     return det
 
 
-def bracket_ext(base: Algebra, x: LinComb, y: LinComb) -> LinComb:
+def bracket_ext(base: Algebra, x: dict, y: dict) -> dict:
     """Bilinear extension of the basis bracket to linear combinations."""
-    out = LinComb()
-    for bx, cx in x.items():
-        for by, cy in y.items():
-            out = out + (cx * cy) * base.bracket(bx, by)
-    return out
+    return lin_sum(*((cx * cy, base.bracket(bx, by)) for bx, cx in x.items() for by, cy in y.items()))
 
 
 def basis_sample(base: Algebra, mode_bound: int = 3) -> list[BaseElement]:

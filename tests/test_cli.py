@@ -73,9 +73,9 @@ def test_shapovalov_at_dimension_108_matches_the_product_law(tmp_path, capsys):
     assert lines[-1] == f"det = {format_rational(determinant_law(alg, weight, Root((5,))))}"
 
 
-# Full stdout of sl(n) commands, --json output included, pinned byte for byte.
-# The weight files live beside the goldens.
-SL_GOLDEN_COMMANDS = [
+# Full stdout of sl(n) and rank-one commands, --json output included, pinned
+# byte for byte.  The weight files live beside the goldens.
+GOLDEN_COMMANDS = [
     ("sl3_shapovalov.txt", ["shapovalov", "--algebra", "sl3", "--nilp", "1",
                             "--lambda", "sl3_lambda.json", "--chi", "2,1", "--json", "-"]),
     ("sl4_scan.txt", ["scan", "--algebra", "sl4", "--nilp", "1",
@@ -83,10 +83,14 @@ SL_GOLDEN_COMMANDS = [
     ("sl3_validate.txt", ["validate", "--algebra", "sl3", "--nilp", "1", "--samples", "10",
                           "--seed", "3", "--max-height", "2", "--json", "-"]),
     ("sl4_check.txt", ["check", "--algebra", "sl4", "--nilp", "1", "--lambda", "sl4_lambda.json"]),
+    ("virasoro_scan.txt", ["scan", "--algebra", "virasoro", "--nilp", "2",
+                           "--lambda", "virasoro_lambda.json", "--max-height", "4", "--json", "-"]),
+    ("oscillator_scan.txt", ["scan", "--algebra", "oscillator", "--nilp", "1",
+                             "--lambda", "oscillator_lambda.json", "--max-height", "4", "--json", "-"]),
 ]
 
 
-@pytest.mark.parametrize("fname, argv", SL_GOLDEN_COMMANDS)
+@pytest.mark.parametrize("fname, argv", GOLDEN_COMMANDS)
 def test_sl_command_output_matches_its_golden(fname, argv, capsys):
     argv = [str(GOLDEN / a) if a.endswith("_lambda.json") else a for a in argv]
     assert main(argv) == 0

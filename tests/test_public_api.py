@@ -6,7 +6,7 @@ from tcla import TruncatedAlgebra, VermaModule, WeightFunctional, lie_core, lina
 
 REMOVED_EXPORTS = (
     "VermaVector", "canonical_monomial", "enumerate_positive_roots", "render", "Rat", "shapovalov_determinant",
-    "RescaledLowering",
+    "RescaledLowering", "LinComb",
 )
 REMOVED_ATTRIBUTES = [
     (tcla.Algebra, "element_label"),
@@ -24,9 +24,10 @@ REMOVED_ATTRIBUTES = [
     (linalg, "kernel_vector"),
     (linalg, "left_kernel_vector"),
     (shapovalov, "shapovalov_determinant"),
-    (tcla.LinComb, "map_keys"),
     (tcla.Root, "__post_init__"),
     (lie_core, "RescaledLowering"),
+    (lie_core, "LinComb"),
+    (tcla.BaseElement, "is_cartan"),
 ]
 
 

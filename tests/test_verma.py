@@ -7,6 +7,8 @@ import pytest
 
 from helpers import (
     cartan,
+    is_sparse,
+    lin_sum,
     lowering,
     raising,
     rand_generator,
@@ -17,7 +19,6 @@ from helpers import (
 )
 from tcla import (
     BUILTIN_ALGEBRAS,
-    LinComb,
     Root,
     TruncatedAlgebra,
     VermaModule,
@@ -28,6 +29,19 @@ from tcla import (
 ALPHA = Root((1,))
 
 
+@pytest.fixture(autouse=True)
+def act_results_are_zero_free(monkeypatch):
+    """Check every action in this file: a fresh dict of nonzero Fractions."""
+    act = VermaModule.act
+
+    def checked(self, x, v):
+        out = act(self, x, v)
+        assert is_sparse(out) and out is not v, (x, out)
+        return out
+
+    monkeypatch.setattr(VermaModule, "act", checked)
+
+
 def sl2_module(levels=((5,), (3,))):
     alg = TruncatedAlgebra(algebra("sl2"), len(levels) - 1)
     return VermaModule(alg, WeightFunctional(levels))
@@ -36,7 +50,7 @@ def sl2_module(levels=((5,), (3,))):
 def test_highest_weight_vector():
     m = sl2_module()
     v = m.highest_weight_vector()
-    assert v == LinComb({(): 1})
+    assert v == {(): 1}
     assert vector_weights(v, 1) == {Root((0,))}
 
 
@@ -48,19 +62,17 @@ def test_raising_kills_highest_weight_vector():
         v = m.highest_weight_vector()
         for root in base.positive_roots(3):
             for deg in range(3):
-                assert m.act(raising(base, root, deg), v).is_zero
+                assert m.act(raising(base, root, deg), v) == {}
 
 
 def test_lowering_prepends_when_canonical():
     m = sl2_module()
     f0, f1 = lowering(m.alg.base, ALPHA, 0), lowering(m.alg.base, ALPHA, 1)
     v = m.act(f1, m.highest_weight_vector())
-    assert v == LinComb({(f1,): 1})
+    assert v == {(f1,): 1}
     # sl2 lowering factors commute, so the product lands on the sorted monomial
-    assert m.act(f0, v) == LinComb({(f0, f1): 1})
-    assert m.act(f1, m.act(f0, m.highest_weight_vector())) == LinComb(
-        {(f0, f1): 1}
-    )
+    assert m.act(f0, v) == {(f0, f1): 1}
+    assert m.act(f1, m.act(f0, m.highest_weight_vector())) == {(f0, f1): 1}
 
 
 def test_sl3_straightening_frozen():
@@ -74,17 +86,15 @@ def test_sl3_straightening_frozen():
     f2 = lowering(base, Root((0, 1)), 0)
     f12 = lowering(base, Root((1, 1)), 0)
     v = m.highest_weight_vector()
-    assert m.act(f1, m.act(f2, v)) == LinComb({(f1, f2): 1})
-    assert m.act(f2, m.act(f1, v)) == LinComb(
-        {(f1, f2): 1, (f12,): 1}
-    )
+    assert m.act(f1, m.act(f2, v)) == {(f1, f2): 1}
+    assert m.act(f2, m.act(f1, v)) == {(f1, f2): 1, (f12,): 1}
 
 
 def test_cartan_on_highest_weight_vector():
     m = sl2_module(((5,), (3,), (7,)))
     v = m.highest_weight_vector()
     for deg, value in [(0, 5), (1, 3), (2, 7)]:
-        assert m.act(cartan(m.alg.base, 0, deg), v) == value * v
+        assert m.act(cartan(m.alg.base, 0, deg), v) == lin_sum((value, v))
 
 
 def test_cartan_degree_zero_is_scalar_on_homogeneous_vectors():
@@ -98,22 +108,22 @@ def test_cartan_degree_zero_is_scalar_on_homogeneous_vectors():
             from tcla import enumerate_monomials
 
             monos = enumerate_monomials(chi, alg)
-            v = LinComb({mono: rat(rng) for mono in monos})
-            if v.is_zero:
+            v = lin_sum((1, {mono: rat(rng) for mono in monos}))
+            if not v:
                 continue
             for k in range(base.cartan_rank):
                 h = cartan(base, k, 0)
                 basis_dir = tuple(Fraction(int(j == k)) for j in range(base.cartan_rank))
                 expected = weight.evaluate(basis_dir, 0) - base.root_functional(chi)[k]
-                assert m.act(h, v) == expected * v
+                assert m.act(h, v) == lin_sum((expected, v))
 
 
 def test_cartan_commutator_example():
     m = sl2_module()
     f0, f1 = lowering(m.alg.base, ALPHA, 0), lowering(m.alg.base, ALPHA, 1)
     h1 = cartan(m.alg.base, 0, 1)
-    got = m.act(h1, LinComb({(f0,): 1}))
-    assert got == LinComb({(f0,): 3, (f1,): -2})
+    got = m.act(h1, {(f0,): Fraction(1)})
+    assert got == {(f0,): 3, (f1,): -2}
 
 
 def test_raising_examples():
@@ -121,9 +131,9 @@ def test_raising_examples():
     v = m.highest_weight_vector()
     f0, f1 = lowering(m.alg.base, ALPHA, 0), lowering(m.alg.base, ALPHA, 1)
     e0, e1 = raising(m.alg.base, ALPHA, 0), raising(m.alg.base, ALPHA, 1)
-    assert m.act(e0, m.act(f0, v)) == 5 * v
-    assert m.act(e1, m.act(f0, v)) == 3 * v
-    assert m.act(e1, m.act(f1, v)).is_zero
+    assert m.act(e0, m.act(f0, v)) == {(): 5}
+    assert m.act(e1, m.act(f0, v)) == {(): 3}
+    assert m.act(e1, m.act(f1, v)) == {}
 
 
 @pytest.mark.parametrize("name", BUILTIN_ALGEBRAS)
@@ -137,10 +147,8 @@ def test_module_axiom(name):
         for _ in range(60):
             x, y = rand_generator(rng, alg), rand_generator(rng, alg)
             v = rand_vector(rng, m)
-            lhs = m.act(x, m.act(y, v)) - m.act(y, m.act(x, v))
-            rhs = LinComb()
-            for z, c in alg.bracket(x, y).items():
-                rhs = rhs + c * m.act(z, v)
+            lhs = lin_sum((1, m.act(x, m.act(y, v))), (-1, m.act(y, m.act(x, v))))
+            rhs = lin_sum(*((c, m.act(z, v)) for z, c in alg.bracket(x, y).items()))
             assert lhs == rhs, (x, y, v)
 
 
@@ -152,12 +160,12 @@ def test_weight_homogeneity():
     gens = base.simple_generator_count
     for _ in range(40):
         v = rand_vector(rng, m)
-        if v.is_zero or len(vector_weights(v, gens)) != 1:
+        if not v or len(vector_weights(v, gens)) != 1:
             continue
         (chi,) = vector_weights(v, gens)
         x = rand_generator(rng, alg)
         out = m.act(x, v)
-        if out.is_zero:
+        if not out:
             continue
         drop = Root.zero(gens) if x.elem.root is None else -x.elem.root
         assert vector_weights(out, gens) == {chi + drop}
@@ -172,7 +180,7 @@ def test_action_is_linear():
         x = rand_generator(rng, alg)
         v, w = rand_vector(rng, m), rand_vector(rng, m)
         a, b = rat(rng), rat(rng)
-        assert m.act(x, a * v + b * w) == a * m.act(x, v) + b * m.act(x, w)
+        assert m.act(x, lin_sum((a, v), (b, w))) == lin_sum((a, m.act(x, v)), (b, m.act(x, w)))
 
 
 def test_weight_shape_must_match():
