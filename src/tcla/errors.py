@@ -21,8 +21,8 @@ class NotARootError(TclaError):
 
 class InvalidAlgebraError(TclaError):
     """The algebra's own data violates a structural hypothesis, e.g. a
-    zero pairing <x_alpha, y_alpha>.  Signals an internal defect, not bad
-    user input."""
+    zero pairing <x_alpha, y_alpha>, or a bracket [x_alpha, y_alpha] with
+    no coroot.  Signals an internal defect, not bad user input."""
 
 
 class DegreeError(TclaError):

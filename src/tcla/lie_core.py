@@ -2,11 +2,12 @@
 
 Every algebra is presented through the same data: a Cartan basis acting
 diagonally, a catalog of positive roots written over a finite set of simple
-generators, structure constants for the bracket of basis elements, and for
-each positive root alpha the scalar pairing <x_alpha, y_alpha> together with
-a coroot h_alpha satisfying [x_alpha, y_alpha] = <x_alpha, y_alpha> h_alpha.
+generators, and structure constants for the bracket of basis elements.
 Root spaces are one-dimensional: x_alpha spans g^alpha and y_alpha spans
-g^-alpha, so a root vector is named by its root alone.
+g^-alpha, so a root vector is named by its root alone.  The bracket is the
+one source of the rest: the coroot h_alpha is read from
+[x_alpha, y_alpha] = <x_alpha, y_alpha> h_alpha, where the pairing
+<x_alpha, y_alpha> is 1 unless a subclass normalises it otherwise.
 
 The structure constants are data.  ``Algebra.bracket`` is the one bracket:
 it answers from a per-instance table keyed by the pair of basis elements,
@@ -40,21 +41,22 @@ Built-in conventions
     root vector), and no element has an entry at an earlier pivot, so
     taking coefficients in basis order gives each h_k the partial sum of
     the diagonal up to k.  Pairing <E_ij, E_ji> = 1, so the coroot of
-    alpha_ij is E_ii - E_jj, whose coordinates over the h_k equal the
-    root's own coordinates over the simple roots.
+    alpha_ij is [E_ij, E_ji] = E_ii - E_jj, whose coordinates over the h_k
+    equal the root's own coordinates over the simple roots.
 
 ``virasoro``
     Basis L_m (m integer) plus central c, with
     [L_m, L_n] = (m - n) L_{m+n} + delta_{m,-n} (m^3 - m)/12 c.
     Cartan basis ("L0", "c").  The positive spaces are spanned by L_m for
     m > 0, so the root of L_m is m * alpha1 with alpha1(L0) = -1 and
-    alpha1(c) = 0.  Pairing <L_m, L_-m> = 1 fixes the coroot
-    2m L0 + (m^3 - m)/12 c.
+    alpha1(c) = 0.  Pairing <L_m, L_-m> = 1, so the coroot is
+    [L_m, L_-m] = 2m L0 + (m^3 - m)/12 c.
 
 ``oscillator``
     Basis a_m (m nonzero) plus Cartan ("d", "hbar"):  [d, a_m] = m a_m,
     [a_m, a_n] = m delta_{m,-n} hbar, and hbar is central.  Pairing
-    <a_m, a_-m> = m, so the coroot of every positive root is hbar.
+    <a_m, a_-m> = m, the one built-in that is not 1, so the coroot of
+    every positive root is hbar.
 
 The value types ``Root`` and ``BaseElement`` (and ``CurrentElement`` in
 ``current``) are NamedTuples, so the memo and table lookups that key on
@@ -183,10 +185,11 @@ def add_term(acc: dict, key, c: Fraction) -> None:
 class Algebra:
     """Common surface of the built-in algebras.
 
-    Subclasses fill in the root catalog, the structure constants of basis
-    elements (``_structure``), and the pairing data; everything else
-    (validation, the bracket table, dual raising vectors, root functionals)
-    is generic.
+    Subclasses fill in the root catalog (``positive_roots``, ``is_root``)
+    and the structure constants of basis elements (``_structure``);
+    everything else (validation, the bracket table, coroots, dual raising
+    vectors) is generic.  ``pairing`` is an optional normalisation, and
+    ``coroot_zeros`` an optional exact solve.
     """
 
     name: str
@@ -215,16 +218,10 @@ class Algebra:
         raise NotImplementedError
 
     def pairing(self, alpha: Root) -> Fraction:
-        """The scalar <x_alpha, y_alpha> with [x_alpha, y_alpha] = <x_alpha, y_alpha> h_alpha."""
-        raise NotImplementedError
-
-    def coroot(self, alpha: Root) -> CartanVector:
-        """h_alpha, as coordinates over the Cartan basis."""
-        raise NotImplementedError
-
-    def simple_root_action(self, s: int) -> CartanVector:
-        """Values of the s-th simple root on each Cartan basis vector."""
-        raise NotImplementedError
+        """The scalar <x_alpha, y_alpha> with [x_alpha, y_alpha] = <x_alpha, y_alpha> h_alpha:
+        1 unless overridden, so that h_alpha is the bracket itself."""
+        self.check_positive_root(alpha)
+        return Fraction(1)
 
     # -- generic ------------------------------------------------------------
 
@@ -253,16 +250,6 @@ class Algebra:
         x = BaseElement.of_root(root)
         self.check_element(x)
         return x
-
-    def root_functional(self, root: Root) -> CartanVector:
-        """alpha(h_k) for each Cartan basis vector, extended linearly in alpha."""
-        values = [Fraction(0)] * self.cartan_rank
-        for s, c in enumerate(root.coords):
-            if c:
-                action = self.simple_root_action(s)
-                for k in range(self.cartan_rank):
-                    values[k] += c * action[k]
-        return tuple(values)
 
     def bracket(self, x: BaseElement, y: BaseElement) -> Mapping[BaseElement, Fraction]:
         """[x, y] of two basis elements, as a map from basis element to
@@ -297,12 +284,34 @@ class Algebra:
         hit = cache.get(alpha)
         if hit is not None:
             return hit
+        p = self._nonzero_pairing(alpha)
+        dual = cache[alpha] = MappingProxyType({BaseElement.of_root(alpha): 1 / p})
+        return dual
+
+    def coroot(self, alpha: Root) -> CartanVector:
+        """h_alpha, as Fraction coordinates over the Cartan basis: the
+        bracket [x_alpha, y_alpha] divided by the pairing.
+
+        A bracket that is zero or has a root-vector term has no coroot, and
+        raises ``InvalidAlgebraError`` like a zero pairing does.
+        """
+        p = self._nonzero_pairing(alpha)
+        h = [Fraction(0)] * self.cartan_rank
+        for z, c in self.bracket(BaseElement.of_root(alpha), BaseElement.of_root(-alpha)).items():
+            if z.root is not None:
+                raise InvalidAlgebraError(f"{self.name}: [x, y] at {alpha} has the root-vector term {z}")
+            h[z.index] = c / p
+        if not any(h):
+            raise InvalidAlgebraError(f"{self.name}: [x, y] at {alpha} is zero, so it has no coroot")
+        return tuple(h)
+
+    def _nonzero_pairing(self, alpha: Root) -> Fraction:
+        """The validated positive root's pairing, refused when it is zero."""
         self.check_positive_root(alpha)
         p = Fraction(self.pairing(alpha))
         if not p:
             raise InvalidAlgebraError(f"{self.name}: zero pairing at {alpha} violates non-degeneracy")
-        dual = cache[alpha] = MappingProxyType({BaseElement.of_root(alpha): 1 / p})
-        return dual
+        return p
 
     def coroot_zeros(self, top: CartanVector, max_height: int) -> tuple[list[Root], int | None]:
         """Positive roots whose coroot the Cartan functional ``top`` kills,
@@ -325,14 +334,26 @@ class Algebra:
         return f"<algebra {self.name}>"
 
 
+def commutator(a: Mapping[tuple[int, int], Fraction], b: Mapping[tuple[int, int], Fraction]) -> dict:
+    """[a, b] = ab - ba of two matrices given as dicts from matrix unit (i, j)
+    to nonzero entry, in the same form."""
+    out: dict[tuple[int, int], Fraction] = {}
+    for (i, j), x in a.items():
+        for (k, l), y in b.items():
+            if j == k:
+                add_term(out, (i, l), x * y)
+            if l == i:
+                add_term(out, (k, j), -x * y)
+    return out
+
+
 class MatrixAlgebra(Algebra):
     """An algebra of square matrices, given by the matrix of each basis element.
 
     ``units`` maps every basis element, in basis order, to its matrix as a
     dict from matrix unit (i, j) to a nonzero entry.  The root catalog, the
     simple-generator count and the Cartan rank are read off its keys; the
-    Cartan names are "h1", "h2", ...  Subclasses supply the pairing, the
-    coroots and ``simple_root_action``.
+    Cartan names are "h1", "h2", ...
 
     The bracket is the matrix commutator, expanded back over the basis by
     the pivot rule: each element's pivot is its first unit, and in basis
@@ -366,13 +387,7 @@ class MatrixAlgebra(Algebra):
         return BaseElement.of_root(root) in self._units
 
     def _structure(self, x: BaseElement, y: BaseElement) -> dict[BaseElement, Fraction]:
-        units: dict[tuple[int, int], Fraction] = {}
-        for (a, b), cx in self._units[x].items():
-            for (c, d), cy in self._units[y].items():
-                if b == c:
-                    add_term(units, (a, d), cx * cy)
-                if d == a:
-                    add_term(units, (c, b), -cx * cy)
+        units = commutator(self._units[x], self._units[y])
         terms = {}
         for z, pivot in self._pivots:
             if pivot in units:
@@ -400,22 +415,6 @@ class SpecialLinear(MatrixAlgebra):
                 units[BaseElement.of_root(-root)] = {(j, i): 1}
         super().__init__(f"sl{n}", units)
 
-    def simple_root_action(self, s: int) -> CartanVector:
-        # Cartan matrix of type A: alpha_s(h_k).
-        return tuple(
-            Fraction(2 if k == s else -1 if abs(k - s) == 1 else 0)
-            for k in range(self.cartan_rank)
-        )
-
-    def pairing(self, alpha: Root) -> Fraction:
-        self.check_positive_root(alpha)
-        return Fraction(1)
-
-    def coroot(self, alpha: Root) -> CartanVector:
-        self.check_positive_root(alpha)
-        # E_ii - E_jj expands over the h_k with the root's own coordinates.
-        return tuple(Fraction(c) for c in alpha.coords)
-
 
 class _RankOne(Algebra):
     """Root catalog of the rank-1 built-ins: one simple generator, and every
@@ -440,10 +439,6 @@ class VirasoroAlgebra(_RankOne):
     cartan_rank = 2
     cartan_names = ("L0", "c")
 
-    def simple_root_action(self, s: int) -> CartanVector:
-        # [L0, L_m] = -m L_m, [c, L_m] = 0.
-        return (Fraction(-1), Fraction(0))
-
     @staticmethod
     def _mode(x: BaseElement) -> int | None:
         """m for L_m (L0 is Cartan vector 0), None for the central c."""
@@ -463,15 +458,6 @@ class VirasoroAlgebra(_RankOne):
         if central:
             out[BaseElement.cartan(1)] = central
         return out
-
-    def pairing(self, alpha: Root) -> Fraction:
-        self.check_positive_root(alpha)
-        return Fraction(1)
-
-    def coroot(self, alpha: Root) -> CartanVector:
-        self.check_positive_root(alpha)
-        m = alpha.coords[0]
-        return (Fraction(2 * m), Fraction(m**3 - m, 12))
 
     def coroot_zeros(self, top: CartanVector, max_height: int) -> tuple[list[Root], int | None]:
         # Solve 2m x + (m^3 - m)/12 y = 0 over integers m >= 1 (the condition is
@@ -498,10 +484,6 @@ class OscillatorAlgebra(_RankOne):
     cartan_rank = 2
     cartan_names = ("d", "hbar")
 
-    def simple_root_action(self, s: int) -> CartanVector:
-        # [d, a_m] = m a_m, [hbar, a_m] = 0.
-        return (Fraction(1), Fraction(0))
-
     def _structure(self, x: BaseElement, y: BaseElement) -> dict[BaseElement, Fraction]:
         # d is Cartan vector 0 and hbar (index 1) is central; modes are nonzero.
         d = BaseElement.cartan(0)
@@ -517,10 +499,6 @@ class OscillatorAlgebra(_RankOne):
     def pairing(self, alpha: Root) -> Fraction:
         self.check_positive_root(alpha)
         return Fraction(alpha.coords[0])
-
-    def coroot(self, alpha: Root) -> CartanVector:
-        self.check_positive_root(alpha)
-        return (Fraction(0), Fraction(1))
 
     def coroot_zeros(self, top: CartanVector, max_height: int) -> tuple[list[Root], int | None]:
         # Every coroot is hbar: all positive roots qualify, or none does.

@@ -22,16 +22,17 @@ from tcla import (
     shapovalov_matrix,
 )
 from tcla.errors import InvalidAlgebraError
-from tcla.lie_core import CartanVector, MatrixAlgebra, add_term
+from tcla.lie_core import CartanVector, MatrixAlgebra, add_term, commutator
 from tcla.weights import factor_key, lowering_generators
 
 
 class Sp4(MatrixAlgebra):
-    """sp4 (type C2) as matrix data, with no bracket of its own.
+    """sp4 (type C2) as matrix data only: no bracket, pairing or coroot of
+    its own.
 
     h1 = diag(1,-1,-1,1), h2 = diag(0,1,0,-1); each lowering vector is its
-    raising vector's transpose and every pairing is 1, so the coroots
-    h_{a1+a2} = h1 + 2 h2 and h_{2a1+a2} = h1 + h2 differ from the roots'
+    raising vector's transpose, so the coroots read from the bracket,
+    h_{a1+a2} = h1 + 2 h2 and h_{2a1+a2} = h1 + h2, differ from the roots'
     own coordinates.
     """
 
@@ -41,7 +42,6 @@ class Sp4(MatrixAlgebra):
         Root((1, 1)): {(0, 3): 1, (1, 2): 1},
         Root((2, 1)): {(0, 2): 1},
     }
-    COROOTS = {Root((1, 0)): (1, 0), Root((0, 1)): (0, 1), Root((1, 1)): (1, 2), Root((2, 1)): (1, 1)}
 
     def __init__(self) -> None:
         units = {
@@ -53,21 +53,69 @@ class Sp4(MatrixAlgebra):
             units[BaseElement.of_root(-root)] = {(j, i): e for (i, j), e in matrix.items()}
         super().__init__("sp4", units)
 
-    def simple_root_action(self, s: int) -> CartanVector:
-        return tuple(Fraction(v) for v in ((2, -1), (-2, 2))[s])
 
-    def pairing(self, alpha: Root) -> Fraction:
-        self.check_positive_root(alpha)
-        return Fraction(1)
+class G2(MatrixAlgebra):
+    """G2 as matrix data only, on its 7-dimensional representation.
 
-    def coroot(self, alpha: Root) -> CartanVector:
-        self.check_positive_root(alpha)
-        return tuple(Fraction(c) for c in self.COROOTS[alpha])
+    E1, F1 belong to the short simple root alpha1 and E2, F2 to the long
+    simple root alpha2, with h1 = [E1, F1] and h2 = [E2, F2].  The other
+    raising vectors are iterated commutators: [E1, E2], then [E1, .] twice,
+    then [E2, .].  The lowering vectors mirror them ([F2, F1], then
+    [., F1] twice, then [., F2]), divided by ``SCALE`` so that every
+    bracket [x_alpha, y_alpha] is the standard coroot 2 alpha / (alpha, alpha).
+    """
+
+    E1 = {(0, 1): 1, (2, 3): 1, (3, 4): 1, (5, 6): 1}
+    F1 = {(1, 0): 1, (3, 2): 2, (4, 3): 2, (6, 5): 1}
+    E2 = {(1, 2): 1, (4, 5): 1}
+    F2 = {(2, 1): 1, (5, 4): 1}
+    SCALE = {Root((2, 1)): 4, Root((3, 1)): 36, Root((3, 2)): 36}
+
+    def __init__(self) -> None:
+        a1, a2 = Root((1, 0)), Root((0, 1))
+        raising, lowering = {a1: self.E1, a2: self.E2}, {a1: self.F1, a2: self.F2}
+        for simple, previous in [(a1, a2), (a1, a1 + a2), (a1, 2 * a1 + a2), (a2, 3 * a1 + a2)]:
+            root = simple + previous
+            raising[root] = commutator(raising[simple], raising[previous])
+            lowering[root] = commutator(lowering[previous], lowering[simple])
+        units = {
+            BaseElement.cartan(0): commutator(self.E1, self.F1),
+            BaseElement.cartan(1): commutator(self.E2, self.F2),
+        }
+        for root, matrix in raising.items():
+            units[BaseElement.of_root(root)] = matrix
+            scale = self.SCALE.get(root, 1)
+            units[BaseElement.of_root(-root)] = {u: Fraction(e) / scale for u, e in lowering[root].items()}
+        super().__init__("g2", units)
+
+
+TEST_ALGEBRAS = {"sp4": Sp4, "g2": G2}
 
 
 def any_algebra(name: str) -> Algebra:
-    """A built-in algebra by catalog name, or the test-side "sp4"."""
-    return Sp4() if name == "sp4" else algebra(name)
+    """A built-in algebra by catalog name, or a test-side one: "sp4", "g2"."""
+    return TEST_ALGEBRAS[name]() if name in TEST_ALGEBRAS else algebra(name)
+
+
+# alpha_s(h_k) as row s, column k: the Cartan action written down by hand, an
+# oracle independent of the brackets that the library reads coroots from.
+CARTAN_MATRICES = {
+    **{
+        f"sl{n}": tuple(tuple(2 if k == s else -1 if abs(k - s) == 1 else 0 for k in range(n - 1)) for s in range(n - 1))
+        for n in (2, 3, 4)  # type A
+    },
+    "sp4": ((2, -1), (-2, 2)),
+    "g2": ((2, -1), (-3, 2)),
+    "virasoro": ((-1, 0),),  # [L0, L_m] = -m L_m, [c, L_m] = 0
+    "oscillator": ((1, 0),),  # [d, a_m] = m a_m, [hbar, a_m] = 0
+}
+
+
+def root_functional(base: Algebra, root: Root) -> CartanVector:
+    """root(h_k) for each Cartan basis vector, from ``CARTAN_MATRICES``; a
+    ``RescaledLowering`` reads its base algebra's table."""
+    rows = CARTAN_MATRICES[(base.base if isinstance(base, RescaledLowering) else base).name]
+    return tuple(sum(Fraction(c * row[k]) for c, row in zip(root.coords, rows)) for k in range(base.cartan_rank))
 
 
 class RescaledLowering(Algebra):
@@ -75,8 +123,9 @@ class RescaledLowering(Algebra):
     scale(alpha) * y_alpha.
 
     Used to probe that determinant zero sets do not depend on the choice of
-    lowering basis.  Raising and Cartan vectors, and so the coroots, are
-    untouched.
+    lowering basis.  Raising and Cartan vectors are untouched, and the
+    pairing takes the factor, so the coroots read from the bracket are the
+    base algebra's.
     """
 
     def __init__(self, base: Algebra, scale: Callable[[Root], Fraction]) -> None:
@@ -102,9 +151,6 @@ class RescaledLowering(Algebra):
     def is_root(self, root: Root) -> bool:
         return self.base.is_root(root)
 
-    def simple_root_action(self, s: int) -> CartanVector:
-        return self.base.simple_root_action(s)
-
     def _structure(self, x: BaseElement, y: BaseElement) -> dict[BaseElement, Fraction]:
         # The factors are nonzero, so no coefficient becomes zero.
         raw = self.base.bracket(x, y)
@@ -113,9 +159,6 @@ class RescaledLowering(Algebra):
 
     def pairing(self, alpha: Root) -> Fraction:
         return self.base.pairing(alpha) * Fraction(self._scale(alpha))
-
-    def coroot(self, alpha: Root) -> CartanVector:
-        return self.base.coroot(alpha)
 
     def coroot_zeros(self, top: CartanVector, max_height: int) -> tuple[list[Root], int | None]:
         return self.base.coroot_zeros(top, max_height)

@@ -23,6 +23,7 @@ from helpers import (
     rand_vector,
     rand_weight,
     reorder,
+    root_functional,
 )
 from tcla import (
     BUILTIN_ALGEBRAS,
@@ -100,6 +101,13 @@ def test_criterion_3_criterion_vs_scan_cross_validation(name, max_height, nilp):
     ok(3, f"{name} N={nilp} criterion vs scan agree on 100/100 samples (height {max_height})")
 
 
+def test_criterion_3_on_g2():
+    # The non-simply-laced stretch case, at N=1 only: its roots reach height 5.
+    report = cross_validate(any_algebra("g2"), 1, 100, seed=SEED, max_height=3)
+    assert report.disagreements == [] and report.agreements == 100
+    ok(3, "g2 N=1 criterion vs scan agree on 100/100 samples (height 3)")
+
+
 @pytest.mark.parametrize("name", BUILTIN_ALGEBRAS)
 def test_criterion_4_top_level_only_dependence(name):
     base = algebra(name)
@@ -154,7 +162,7 @@ def test_criterion_5_structure_constants(name):
         got = base.bracket(base.root_element(alpha), base.root_element(-alpha))
         assert got == lin_sum((base.pairing(alpha), h_comb))
         for signed in (alpha, -alpha):
-            action = base.root_functional(signed)
+            action = root_functional(base, signed)
             x = base.root_element(signed)
             for k in range(base.cartan_rank):
                 assert base.bracket(base.cartan_element(k), x) == lin_sum((action[k], {x: 1}))

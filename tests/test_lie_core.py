@@ -8,7 +8,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import RescaledLowering, Sp4, any_algebra, basis_sample, bracket_ext, is_sparse, lin_sum
+from helpers import (
+    G2,
+    RescaledLowering,
+    Sp4,
+    any_algebra,
+    basis_sample,
+    bracket_ext,
+    is_sparse,
+    lin_sum,
+    root_functional,
+)
 from tcla import (
     BUILTIN_ALGEBRAS,
     BaseElement,
@@ -20,7 +30,8 @@ from tcla import (
     UnknownElementError,
     algebra,
 )
-from tcla.lie_core import MatrixAlgebra, add_term
+from tcla import lie_core
+from tcla.lie_core import Algebra, MatrixAlgebra, OscillatorAlgebra, SpecialLinear, add_term
 
 SL2 = algebra("sl2")
 SL3 = algebra("sl3")
@@ -188,22 +199,63 @@ def test_matrix_algebra_refuses_an_entry_at_an_earlier_pivot():
 
 
 def test_sp4_is_data_on_the_matrix_bracket():
-    # The catalog is read off the matrix data; the bracket is the base's.
-    assert "_structure" not in vars(Sp4)
+    # The catalog is read off the matrix data; the bracket is the base's,
+    # and the pairing and coroots are the generic ones read from it.
+    for cls in (SpecialLinear, Sp4, G2):
+        assert not {"_structure", "pairing", "coroot", "simple_root_action"} & set(vars(cls)), cls
     sp4 = Sp4()
     assert (sp4.cartan_rank, sp4.simple_generator_count, sp4.cartan_names) == (2, 2, ("h1", "h2"))
     assert sp4.positive_roots() == [Root((1, 0)), Root((0, 1)), Root((1, 1)), Root((2, 1))]
+    g2 = G2()
+    assert (g2.cartan_rank, g2.simple_generator_count) == (2, 2)
+    assert g2.positive_roots() == [Root(c) for c in ((1, 0), (0, 1), (1, 1), (2, 1), (3, 1), (3, 2))]
+    # Among the library's algebras only the oscillator normalises its
+    # pairing, and no class but Algebra has a coroot of its own.
+    library = [c for c in vars(lie_core).values() if isinstance(c, type) and issubclass(c, Algebra)]
+    assert {c for c in library if "pairing" in vars(c)} == {Algebra, OscillatorAlgebra}
+    for cls in library + [Sp4, G2, RescaledLowering]:
+        assert ("coroot" in vars(cls)) == (cls is Algebra), cls
+
+
+# Closed forms of the coroots, the oracle for the ones read from the bracket.
+SP4_COROOTS = {Root((1, 0)): (1, 0), Root((0, 1)): (0, 1), Root((1, 1)): (1, 2), Root((2, 1)): (1, 1)}
+# 2 alpha / (alpha, alpha) over the simple coroots, alpha1 short.
+G2_COROOTS = {
+    Root((1, 0)): (1, 0), Root((0, 1)): (0, 1), Root((1, 1)): (1, 3),
+    Root((2, 1)): (2, 3), Root((3, 1)): (1, 1), Root((3, 2)): (1, 2),
+}
+
+
+def _closed_form_coroots(base):
+    """Every positive root of ``base`` (to height 12) with its coroot's
+    closed form."""
+    if isinstance(base, RescaledLowering):
+        return _closed_form_coroots(base.base)
+    if base.name == "virasoro":
+        return {Root((m,)): (2 * m, Fraction(m**3 - m, 12)) for m in range(1, 13)}
+    if base.name == "oscillator":
+        return {Root((m,)): (0, 1) for m in range(1, 13)}
+    if base.name == "sp4":
+        return SP4_COROOTS
+    if base.name == "g2":
+        return G2_COROOTS
+    return {root: root.coords for root in base.positive_roots()}  # sl(n)
 
 
 def test_coroot_examples():
-    assert SL2.coroot(ALPHA) == (Fraction(1),)
-    assert VIR.coroot(Root((2,))) == (Fraction(4), Fraction(1, 2))
-    for m in (1, 2, 5):
-        assert OSC.coroot(Root((m,))) == (Fraction(0), Fraction(1))
-    # sl3: coroot of alpha1+alpha2 is h1 + h2
-    assert SL3.coroot(Root((1, 1))) == (Fraction(1), Fraction(1))
-    # sp4: coroot of alpha1+alpha2 is h1 + 2 h2, not the root's coordinates
-    assert Sp4().coroot(Root((1, 1))) == (Fraction(1), Fraction(2))
+    # Every root of every algebra, and of each one with rescaled lowering
+    # vectors, whose coroots are its base algebra's.
+    def scale(alpha):
+        return Fraction(alpha.height + 1, 3)
+
+    for name in BUILTIN_ALGEBRAS + ("sp4", "g2"):
+        for base in (any_algebra(name), RescaledLowering(any_algebra(name), scale)):
+            expected = _closed_form_coroots(base)
+            assert len(expected) >= len(base.positive_roots(12))
+            for alpha, h in expected.items():
+                got = base.coroot(alpha)
+                assert got == tuple(Fraction(c) for c in h), (base, alpha)
+                assert all(type(c) is Fraction for c in got)
 
 
 def test_coroot_rejects_non_roots():
@@ -278,7 +330,9 @@ def _pairs(base, bound):
     return [(x, y) for x in elems for y in elems]
 
 
-@pytest.mark.parametrize("name,bound", [("sl2", 3), ("sl3", 3), ("virasoro", 4), ("oscillator", 4), ("sp4", 3)])
+@pytest.mark.parametrize(
+    "name,bound", [("sl2", 3), ("sl3", 3), ("virasoro", 4), ("oscillator", 4), ("sp4", 3), ("g2", 5)]
+)
 def test_antisymmetry(name, bound):
     base = any_algebra(name)
     for x, y in _pairs(base, bound):
@@ -287,12 +341,13 @@ def test_antisymmetry(name, bound):
 
 @pytest.mark.parametrize(
     "name,bound,triples",
-    [("sl2", 3, None), ("sl3", 3, None), ("virasoro", 4, 200), ("oscillator", 4, 200), ("sp4", 3, None)],
+    [("sl2", 3, None), ("sl3", 3, None), ("virasoro", 4, 200), ("oscillator", 4, 200), ("sp4", 3, None),
+     ("g2", 5, None)],
 )
 def test_jacobi(name, bound, triples):
     base = any_algebra(name)
     elems = basis_sample(base, bound)
-    if base.finite_roots:  # the full basis: 8 for sl3, 10 for sp4
+    if base.finite_roots:  # the full basis: 8 for sl3, 10 for sp4, 14 for g2
         assert len(elems) == base.cartan_rank + 2 * len(base.positive_roots())
     rng = random.Random(f"jacobi:{name}")
     if triples is None:
@@ -309,7 +364,7 @@ def test_jacobi(name, bound, triples):
 
 
 @pytest.mark.parametrize(
-    "name,bound", [("sl2", 3), ("sl3", 3), ("sl4", 3), ("virasoro", 5), ("oscillator", 5), ("sp4", 3)]
+    "name,bound", [("sl2", 3), ("sl3", 3), ("sl4", 3), ("virasoro", 5), ("oscillator", 5), ("sp4", 3), ("g2", 5)]
 )
 def test_grading(name, bound):
     base = any_algebra(name)
@@ -326,7 +381,7 @@ def test_grading(name, bound):
 
 
 @pytest.mark.parametrize(
-    "name,bound", [("sl2", 1), ("sl3", 2), ("sl4", 3), ("virasoro", 6), ("oscillator", 6), ("sp4", 3)]
+    "name,bound", [("sl2", 1), ("sl3", 2), ("sl4", 3), ("virasoro", 6), ("oscillator", 6), ("sp4", 3), ("g2", 5)]
 )
 def test_pairing_consistency(name, bound):
     # bracket(x_alpha, y_alpha) = <x_alpha, y_alpha> * h_alpha
@@ -341,13 +396,13 @@ def test_pairing_consistency(name, bound):
 
 
 @pytest.mark.parametrize(
-    "name,bound", [("sl2", 1), ("sl3", 2), ("sl4", 3), ("virasoro", 6), ("oscillator", 6), ("sp4", 3)]
+    "name,bound", [("sl2", 1), ("sl3", 2), ("sl4", 3), ("virasoro", 6), ("oscillator", 6), ("sp4", 3), ("g2", 5)]
 )
 def test_cartan_action(name, bound):
     base = any_algebra(name)
     for root in base.positive_roots(bound):
         for signed in (root, -root):
-            action = base.root_functional(signed)
+            action = root_functional(base, signed)
             x = base.root_element(signed)
             for k in range(base.cartan_rank):
                 got = base.bracket(base.cartan_element(k), x)
@@ -370,15 +425,30 @@ def test_virasoro_jacobi_hypothesis(m, n, p):
 
 
 def test_singular_pairing_violates_nondegeneracy():
-    from tcla import InvalidAlgebraError
-    from tcla.lie_core import SpecialLinear
-
     class Broken(SpecialLinear):
         def pairing(self, alpha):
             return Fraction(0)
 
+    broken = Broken(2)
     with pytest.raises(InvalidAlgebraError):
-        Broken(2).dual_raising(Root((1,)))
+        broken.dual_raising(Root((1,)))
+    with pytest.raises(InvalidAlgebraError):
+        broken.coroot(Root((1,)))
+
+
+def test_bracket_without_a_cartan_part_has_no_coroot():
+    # h = E00 - E11, x = E01, y = E02 constructs, but [x, y] = 0.
+    h, x, y = BaseElement.cartan(0), BaseElement.of_root(ALPHA), BaseElement.of_root(-ALPHA)
+    zero = MatrixAlgebra("zero-bracket", {h: {(0, 0): 1, (1, 1): -1}, x: {(0, 1): 1}, y: {(0, 2): 1}})
+    assert zero.bracket(x, y) == {}
+    # y = E12 under the name of -alpha: [x, y] = E02, the root vector of 2 alpha.
+    x2 = BaseElement.of_root(2 * ALPHA)
+    units = {h: {(0, 0): 1, (1, 1): -1}, x: {(0, 1): 1}, y: {(1, 2): 1}, x2: {(0, 2): 1}}
+    root_term = MatrixAlgebra("root-term", units)
+    assert root_term.bracket(x, y) == {x2: 1}
+    for alg in (zero, root_term):
+        with pytest.raises(InvalidAlgebraError):
+            alg.coroot(ALPHA)
 
 
 def test_rescaled_lowering_keeps_the_axioms():
@@ -396,7 +466,7 @@ def test_rescaled_lowering_keeps_the_axioms():
         got = scaled.bracket(scaled.root_element(alpha), scaled.root_element(-alpha))
         assert got == lin_sum((scaled.pairing(alpha), h_comb))
         for signed in (alpha, -alpha):
-            action = scaled.root_functional(signed)
+            action = root_functional(scaled, signed)
             x = scaled.root_element(signed)
             for k in range(scaled.cartan_rank):
                 assert scaled.bracket(scaled.cartan_element(k), x) == lin_sum((action[k], {x: 1}))

@@ -28,6 +28,8 @@ REMOVED_ATTRIBUTES = [
     (lie_core, "RescaledLowering"),
     (lie_core, "LinComb"),
     (tcla.BaseElement, "is_cartan"),
+    (tcla.Algebra, "root_functional"),
+    (tcla.Algebra, "simple_root_action"),
 ]
 
 

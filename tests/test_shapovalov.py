@@ -383,12 +383,12 @@ def test_monomials_not_closed_under_degree_reversal_raise():
 
 
 @pytest.mark.parametrize("nilp", (1, 2))
-@pytest.mark.parametrize("name", ("sl2", "sl3", "sl4", "virasoro", "oscillator", "sp4"))
+@pytest.mark.parametrize("name", ("sl2", "sl3", "sl4", "virasoro", "oscillator", "sp4", "g2"))
 def test_block_determinant_equals_the_product_law(name, nilp):
     rng = random.Random(f"law:{name}:{nilp}")
     base = any_algebra(name)
     alg = TruncatedAlgebra(base, nilp)
-    height = {"sl2": 4, "sl3": 3, "sl4": 2, "virasoro": 4, "oscillator": 3, "sp4": 5 - nilp}[name]
+    height = {"sl2": 4, "sl3": 3, "sl4": 2, "virasoro": 4, "oscillator": 3, "sp4": 5 - nilp, "g2": 5 - nilp}[name]
     for weight in (rand_weight(rng, base, nilp), with_zero_entry(rng, base, nilp)):
         m = VermaModule(alg, weight)
         for chi in positive_lattice_points(base.simple_generator_count, height):
