@@ -4,7 +4,8 @@ Subcommands: ``algebras``, ``check``, ``shapovalov``, ``scan``,
 ``validate``, ``figure``.  All numeric output is exact (p/q, never
 decimals).  Exit codes: 0 success, 2 usage error, 3 input-validation
 error (including a weight space past ``MAX_WEIGHT_SPACE`` and a ``check``
-height past ``MAX_CHECK_HEIGHT``), 4 internal invariant violation.
+height or ``figure`` m-max past ``MAX_ROOT_LISTING``), 4 internal invariant
+violation.
 """
 
 from __future__ import annotations
@@ -38,11 +39,14 @@ from .weights import WeightFunctional, positive_lattice_points, weight_space_dim
 # most 1.0 s at its largest chi under the limit.
 MAX_WEIGHT_SPACE = 150
 
-# The largest --max-height that check accepts; anything larger exits 3.
-# When the top level kills every coroot of virasoro or oscillator, check
-# lists every root up to the height, so its memory and output grow linearly
-# with it (a 240 MiB peak and 9.9 MB of output at a height of 10^6).
-MAX_CHECK_HEIGHT = 10_000
+# The largest root listing: the --max-height that check accepts and the
+# --m-max that figure accepts; anything larger exits 3.  Both grow linearly
+# with it.  When the top level kills every coroot of virasoro or oscillator,
+# check lists every root up to the height (a 240 MiB peak and 9.9 MB of
+# output at a height of 10^6); figure draws one line per m (at 100,000 the
+# csv takes 5.2 s and a 165 MiB peak; at the limit the svg takes 1.3 s and
+# 1.3 MB on a 2-core host).
+MAX_ROOT_LISTING = 10_000
 
 
 class InputError(TclaError):
@@ -113,6 +117,12 @@ def _check_at_least(flag: str, value: int, least: int) -> int:
     return value
 
 
+def _check_root_listing(flag: str, value: int) -> int:
+    if _check_at_least(flag, value, 1) > MAX_ROOT_LISTING:
+        raise InputError(f"{flag} must be <= {MAX_ROOT_LISTING}, got {value}")
+    return value
+
+
 def _check_weight_space(chi: Root, alg: TruncatedAlgebra) -> None:
     # The simple-root factors alone make at least prod(chi_i + 1) monomials,
     # so a larger box is refused before counting.
@@ -180,9 +190,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     alg, weight = _load_module_args(args)
     base = alg.base
     height = args.max_height if args.max_height is not None else default_scan_height(base)
-    if _check_at_least("--max-height", height, 1) > MAX_CHECK_HEIGHT:
-        raise InputError(f"--max-height must be <= {MAX_CHECK_HEIGHT}, got {height}")
-    verdict = criterion_reducible(weight, alg, height)
+    verdict = criterion_reducible(weight, alg, _check_root_listing("--max-height", height))
     if verdict.reducible:
         labels = ", ".join(root_label(base, w) for w in verdict.witnesses)
         noun = "witness" if len(verdict.witnesses) == 1 else "witnesses"
@@ -257,7 +265,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_figure(args: argparse.Namespace) -> int:
-    _check_at_least("--m-max", args.m_max, 1)
+    _check_root_listing("--m-max", args.m_max)
     if args.which == "sl3":
         ls = sl3_hyperplanes()
     else:

@@ -21,7 +21,7 @@ class NotARootError(TclaError):
 
 class InvalidAlgebraError(TclaError):
     """The algebra's own data violates a structural hypothesis, e.g. a
-    zero pairing <x_alpha, y_alpha>, or a bracket [x_alpha, y_alpha] with
+    bracket [x_alpha, y_alpha] that is zero or has a root-vector term, so
     no coroot.  Signals an internal defect, not bad user input."""
 
 

@@ -1,13 +1,12 @@
-"""Base Lie algebras with triangular decomposition and root-space pairing.
+"""Base Lie algebras with triangular decomposition.
 
 Every algebra is presented through the same data: a Cartan basis acting
 diagonally, a catalog of positive roots written over a finite set of simple
 generators, and structure constants for the bracket of basis elements.
 Root spaces are one-dimensional: x_alpha spans g^alpha and y_alpha spans
-g^-alpha, so a root vector is named by its root alone.  The bracket is the
-one source of the rest: the coroot h_alpha is read from
-[x_alpha, y_alpha] = <x_alpha, y_alpha> h_alpha, where the pairing
-<x_alpha, y_alpha> is 1 unless a subclass normalises it otherwise.
+g^-alpha, so a root vector is named by its root alone.  Each basis is
+normalised so that [x_alpha, y_alpha] = h_alpha, so the bracket is the one
+source of the rest: the coroot h_alpha is the bracket itself.
 
 The structure constants are data.  ``Algebra.bracket`` is the one bracket:
 it answers from a per-instance table keyed by the pair of basis elements,
@@ -22,9 +21,8 @@ and only adds the t-degrees.
 A linear combination, here and in the Verma module, is a plain dict from
 key to nonzero Fraction, built with ``add_term`` or with a comprehension
 whose values are known to be nonzero.  The cached results of ``bracket``
-and ``dual_raising`` are shared by every caller, so they are read-only
-``MappingProxyType`` views; every other function returns a dict that the
-caller owns.
+are shared by every caller, so they are read-only ``MappingProxyType``
+views; every other function returns a dict that the caller owns.
 
 Built-in conventions
 --------------------
@@ -40,23 +38,22 @@ Built-in conventions
     element's pivot is its first unit (E[k][k] for h_k, its one unit for a
     root vector), and no element has an entry at an earlier pivot, so
     taking coefficients in basis order gives each h_k the partial sum of
-    the diagonal up to k.  Pairing <E_ij, E_ji> = 1, so the coroot of
-    alpha_ij is [E_ij, E_ji] = E_ii - E_jj, whose coordinates over the h_k
-    equal the root's own coordinates over the simple roots.
+    the diagonal up to k.  The coroot of alpha_ij is
+    [E_ij, E_ji] = E_ii - E_jj, whose coordinates over the h_k equal the
+    root's own coordinates over the simple roots.
 
 ``virasoro``
     Basis L_m (m integer) plus central c, with
     [L_m, L_n] = (m - n) L_{m+n} + delta_{m,-n} (m^3 - m)/12 c.
     Cartan basis ("L0", "c").  The positive spaces are spanned by L_m for
     m > 0, so the root of L_m is m * alpha1 with alpha1(L0) = -1 and
-    alpha1(c) = 0.  Pairing <L_m, L_-m> = 1, so the coroot is
-    [L_m, L_-m] = 2m L0 + (m^3 - m)/12 c.
+    alpha1(c) = 0.  The coroot is [L_m, L_-m] = 2m L0 + (m^3 - m)/12 c.
 
 ``oscillator``
-    Basis a_m (m nonzero) plus Cartan ("d", "hbar"):  [d, a_m] = m a_m,
-    [a_m, a_n] = m delta_{m,-n} hbar, and hbar is central.  Pairing
-    <a_m, a_-m> = m, the one built-in that is not 1, so the coroot of
-    every positive root is hbar.
+    Modes a_m (m nonzero) plus Cartan ("d", "hbar"):  [d, a_m] = m a_m,
+    [a_m, a_n] = m delta_{m,-n} hbar, and hbar is central.  The raising
+    basis vector of the root m > 0 is a_m / m and the lowering one is
+    a_-m, so the coroot of every positive root is [a_m / m, a_-m] = hbar.
 
 The value types ``Root`` and ``BaseElement`` (and ``CurrentElement`` in
 ``current``) are NamedTuples, so the memo and table lookups that key on
@@ -186,10 +183,10 @@ class Algebra:
     """Common surface of the built-in algebras.
 
     Subclasses fill in the root catalog (``positive_roots``, ``is_root``)
-    and the structure constants of basis elements (``_structure``);
-    everything else (validation, the bracket table, coroots, dual raising
-    vectors) is generic.  ``pairing`` is an optional normalisation, and
-    ``coroot_zeros`` an optional exact solve.
+    and the structure constants of basis elements (``_structure``), in a
+    basis with [x_alpha, y_alpha] = h_alpha; everything else (validation,
+    the bracket table, coroots, dual raising vectors) is generic.
+    ``coroot_zeros`` is an optional exact solve.
     """
 
     name: str
@@ -217,12 +214,6 @@ class Algebra:
         validated, as a fresh dict of nonzero Fractions."""
         raise NotImplementedError
 
-    def pairing(self, alpha: Root) -> Fraction:
-        """The scalar <x_alpha, y_alpha> with [x_alpha, y_alpha] = <x_alpha, y_alpha> h_alpha:
-        1 unless overridden, so that h_alpha is the bracket itself."""
-        self.check_positive_root(alpha)
-        return Fraction(1)
-
     # -- generic ------------------------------------------------------------
 
     def check_positive_root(self, alpha: Root) -> None:
@@ -240,16 +231,6 @@ class Algebra:
             raise UnknownElementError(f"{self.name}: {x.root} is not a root")
         if x.index:
             raise UnknownElementError(f"{self.name}: root vector {x.root} has index {x.index}, not 0")
-
-    def cartan_element(self, index: int) -> BaseElement:
-        x = BaseElement.cartan(index)
-        self.check_element(x)
-        return x
-
-    def root_element(self, root: Root) -> BaseElement:
-        x = BaseElement.of_root(root)
-        self.check_element(x)
-        return x
 
     def bracket(self, x: BaseElement, y: BaseElement) -> Mapping[BaseElement, Fraction]:
         """[x, y] of two basis elements, as a map from basis element to
@@ -271,47 +252,39 @@ class Algebra:
         out = table[x, y] = MappingProxyType(self._structure(x, y))
         return out
 
-    def dual_raising(self, alpha: Root) -> Mapping[BaseElement, Fraction]:
-        """x_alpha / <x_alpha, y_alpha>, the raising vector paired to 1 with y_alpha.
+    def dual_raising(self, alpha: Root) -> BaseElement:
+        """x_alpha, the raising vector that the Shapovalov ascent puts in
+        place of y_alpha.
 
-        Cached per instance like ``bracket``, as a read-only view with one
-        term (only valid arguments are ever stored): the Shapovalov builder
-        asks for the same few vectors once per raising action.  Both caches
-        are created on first use because subclasses do not call a common
-        ``__init__``.
+        Cached per instance like ``bracket`` (only valid roots are ever
+        stored): the Shapovalov builder asks for the same few roots once
+        per raising action.  A miss reads the coroot, so a root whose
+        bracket has none is refused here too.  Both caches are created on
+        first use because subclasses do not call a common ``__init__``.
         """
         cache = self.__dict__.setdefault("_dual_raising", {})
-        hit = cache.get(alpha)
-        if hit is not None:
-            return hit
-        p = self._nonzero_pairing(alpha)
-        dual = cache[alpha] = MappingProxyType({BaseElement.of_root(alpha): 1 / p})
-        return dual
+        x = cache.get(alpha)
+        if x is None:
+            self.coroot(alpha)
+            x = cache[alpha] = BaseElement.of_root(alpha)
+        return x
 
     def coroot(self, alpha: Root) -> CartanVector:
-        """h_alpha, as Fraction coordinates over the Cartan basis: the
-        bracket [x_alpha, y_alpha] divided by the pairing.
+        """h_alpha = [x_alpha, y_alpha], as Fraction coordinates over the
+        Cartan basis.
 
         A bracket that is zero or has a root-vector term has no coroot, and
-        raises ``InvalidAlgebraError`` like a zero pairing does.
+        raises ``InvalidAlgebraError``.
         """
-        p = self._nonzero_pairing(alpha)
+        self.check_positive_root(alpha)
         h = [Fraction(0)] * self.cartan_rank
         for z, c in self.bracket(BaseElement.of_root(alpha), BaseElement.of_root(-alpha)).items():
             if z.root is not None:
                 raise InvalidAlgebraError(f"{self.name}: [x, y] at {alpha} has the root-vector term {z}")
-            h[z.index] = c / p
+            h[z.index] = c
         if not any(h):
             raise InvalidAlgebraError(f"{self.name}: [x, y] at {alpha} is zero, so it has no coroot")
         return tuple(h)
-
-    def _nonzero_pairing(self, alpha: Root) -> Fraction:
-        """The validated positive root's pairing, refused when it is zero."""
-        self.check_positive_root(alpha)
-        p = Fraction(self.pairing(alpha))
-        if not p:
-            raise InvalidAlgebraError(f"{self.name}: zero pairing at {alpha} violates non-degeneracy")
-        return p
 
     def coroot_zeros(self, top: CartanVector, max_height: int) -> tuple[list[Root], int | None]:
         """Positive roots whose coroot the Cartan functional ``top`` kills,
@@ -478,7 +451,8 @@ class VirasoroAlgebra(_RankOne):
 class OscillatorAlgebra(_RankOne):
     """Oscillator algebra: a_m (m nonzero) with [a_m, a_-m] = m hbar and a
     grading element d.  The Heisenberg core is extended by d so that the
-    Cartan action has nontrivial eigenvalues."""
+    Cartan action has nontrivial eigenvalues.  The basis vector of the root
+    m is a_m / m for m > 0 and a_m for m < 0."""
 
     name = "oscillator"
     cartan_rank = 2
@@ -489,16 +463,13 @@ class OscillatorAlgebra(_RankOne):
         d = BaseElement.cartan(0)
         if x.root is not None and y.root is not None:
             m, n = x.root.coords[0], y.root.coords[0]
-            return {BaseElement.cartan(1): Fraction(m)} if m == -n else {}
+            # [a_m / m, a_-m] = hbar for m > 0, and the reverse is -hbar.
+            return {BaseElement.cartan(1): Fraction(1 if m > 0 else -1)} if m == -n else {}
         if x == d and y.root is not None:
             return {y: Fraction(y.root.coords[0])}
         if y == d and x.root is not None:
             return {x: Fraction(-x.root.coords[0])}
         return {}
-
-    def pairing(self, alpha: Root) -> Fraction:
-        self.check_positive_root(alpha)
-        return Fraction(alpha.coords[0])
 
     def coroot_zeros(self, top: CartanVector, max_height: int) -> tuple[list[Root], int | None]:
         # Every coroot is hbar: all positive roots qualify, or none does.

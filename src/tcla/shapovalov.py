@@ -2,9 +2,9 @@
 
 Row i descends from the highest-weight vector along the i-th PBW monomial;
 column j ascends back along the dual of the j-th monomial (each lowering
-factor y_alpha replaced, in reverse order, by x_alpha / <x_alpha, y_alpha>
-at the same t-degree).  Entry (i, j) is the resulting multiple of the
-highest-weight vector.
+factor y_alpha replaced, in reverse order, by the raising vector x_alpha
+with [x_alpha, y_alpha] = h_alpha, at the same t-degree).  Entry (i, j) is
+the resulting multiple of the highest-weight vector.
 
 Matrices are built by the transpose recursion rather than one full ascent
 per entry.  Split column j's monomial as f0 . tail_j, with f0 its first
@@ -87,8 +87,8 @@ def ascend(module: VermaModule, path: Monomial, v: Terms) -> Terms:
     The ascent retraces the descent step by step: the descent applies the
     monomial's rightmost factor first, so the ascent starts from the dual
     of the leftmost factor and works right, each lowering factor y_alpha
-    replaced by the raising vector x_alpha / <x_alpha, y_alpha> at the same
-    t-degree, so each step is one scaled action.  The composed
+    replaced by the raising vector x_alpha with [x_alpha, y_alpha] = h_alpha
+    at the same t-degree, so each step is one action.  The composed
     operator is the image of the monomial under the transpose
     anti-involution, which is what makes the matrices of the sl(n) and
     Virasoro built-ins symmetric.
@@ -100,11 +100,7 @@ def ascend(module: VermaModule, path: Monomial, v: Terms) -> Terms:
     """
     base = module.alg.base
     for f in path:
-        assert f.elem.root is not None
-        ((x, coeff),) = base.dual_raising(-f.elem.root).items()
-        v = module.act(CurrentElement(x, f.degree), v)
-        if coeff != 1:
-            v = {m: coeff * c for m, c in v.items()}
+        v = module.act(CurrentElement(base.dual_raising(-f.elem.root), f.degree), v)
         if not v:
             break
     return v

@@ -120,12 +120,13 @@ def root_functional(base: Algebra, root: Root) -> CartanVector:
 
 class RescaledLowering(Algebra):
     """The same algebra with each lowering vector y_alpha replaced by
-    scale(alpha) * y_alpha.
+    scale(alpha) * y_alpha and each raising vector x_alpha by
+    x_alpha / scale(alpha).
 
     Used to probe that determinant zero sets do not depend on the choice of
-    lowering basis.  Raising and Cartan vectors are untouched, and the
-    pairing takes the factor, so the coroots read from the bracket are the
-    base algebra's.
+    lowering basis.  Cartan vectors are untouched and [x_alpha, y_alpha]
+    keeps its value, so the coroots read from the bracket are the base
+    algebra's, and the Shapovalov ascent raises along x_alpha / scale(alpha).
     """
 
     def __init__(self, base: Algebra, scale: Callable[[Root], Fraction]) -> None:
@@ -138,12 +139,13 @@ class RescaledLowering(Algebra):
         self.finite_roots = base.finite_roots
 
     def _factor(self, x: BaseElement) -> Fraction:
-        if x.root is not None and not x.root.is_positive:
-            s = Fraction(self._scale(-x.root))
-            if not s:
-                raise InvalidAlgebraError("lowering rescale factors must be nonzero")
-            return s
-        return Fraction(1)
+        if x.root is None:
+            return Fraction(1)
+        positive = x.root.is_positive
+        s = Fraction(self._scale(x.root if positive else -x.root))
+        if not s:
+            raise InvalidAlgebraError("rescale factors must be nonzero")
+        return 1 / s if positive else s
 
     def positive_roots(self, max_height: int | None = None) -> list[Root]:
         return self.base.positive_roots(max_height)
@@ -157,11 +159,38 @@ class RescaledLowering(Algebra):
         s = self._factor(x) * self._factor(y)
         return {z: s * c / self._factor(z) for z, c in raw.items()}
 
-    def pairing(self, alpha: Root) -> Fraction:
-        return self.base.pairing(alpha) * Fraction(self._scale(alpha))
-
     def coroot_zeros(self, top: CartanVector, max_height: int) -> tuple[list[Root], int | None]:
         return self.base.coroot_zeros(top, max_height)
+
+
+# Closed forms of the coroots, the oracle for the ones read from the bracket.
+SP4_COROOTS = {Root((1, 0)): (1, 0), Root((0, 1)): (0, 1), Root((1, 1)): (1, 2), Root((2, 1)): (1, 1)}
+# 2 alpha / (alpha, alpha) over the simple coroots, alpha1 short.
+G2_COROOTS = {
+    Root((1, 0)): (1, 0), Root((0, 1)): (0, 1), Root((1, 1)): (1, 3),
+    Root((2, 1)): (2, 3), Root((3, 1)): (1, 1), Root((3, 2)): (1, 2),
+}
+
+
+def closed_form_coroots(base: Algebra) -> dict[Root, tuple]:
+    """Every positive root of ``base`` (to height 12) with its coroot's
+    closed form; a ``RescaledLowering`` has its base algebra's."""
+    if isinstance(base, RescaledLowering):
+        return closed_form_coroots(base.base)
+    if base.name == "virasoro":
+        return {Root((m,)): (2 * m, Fraction(m**3 - m, 12)) for m in range(1, 13)}
+    if base.name == "oscillator":
+        return {Root((m,)): (0, 1) for m in range(1, 13)}
+    if base.name == "sp4":
+        return SP4_COROOTS
+    if base.name == "g2":
+        return G2_COROOTS
+    return {root: root.coords for root in base.positive_roots()}  # sl(n)
+
+
+def coroot_element(h) -> dict:
+    """The coroot with Cartan coordinates ``h`` as a sparse sum over the Cartan basis."""
+    return {BaseElement.cartan(k): Fraction(c) for k, c in enumerate(h) if c}
 
 
 def enumerate_monomials_per_factor(chi: Root, alg: TruncatedAlgebra) -> list:
@@ -214,17 +243,17 @@ def rand_weight(rng: random.Random, base: Algebra, nilp: int, **kw) -> WeightFun
     return WeightFunctional(rand_levels(rng, base.cartan_rank, nilp, **kw))
 
 
-def lowering(base: Algebra, alpha: Root, deg: int = 0) -> CurrentElement:
+def lowering(alpha: Root, deg: int = 0) -> CurrentElement:
     """Lowering generator for the positive root alpha at t-degree deg."""
-    return CurrentElement(base.root_element(-alpha), deg)
+    return CurrentElement(BaseElement.of_root(-alpha), deg)
 
 
-def raising(base: Algebra, alpha: Root, deg: int = 0) -> CurrentElement:
-    return CurrentElement(base.root_element(alpha), deg)
+def raising(alpha: Root, deg: int = 0) -> CurrentElement:
+    return CurrentElement(BaseElement.of_root(alpha), deg)
 
 
-def cartan(base: Algebra, k: int, deg: int = 0) -> CurrentElement:
-    return CurrentElement(base.cartan_element(k), deg)
+def cartan(k: int, deg: int = 0) -> CurrentElement:
+    return CurrentElement(BaseElement.cartan(k), deg)
 
 
 def rand_generator(rng: random.Random, alg: TruncatedAlgebra, max_root_height: int = 3) -> CurrentElement:
@@ -232,9 +261,9 @@ def rand_generator(rng: random.Random, alg: TruncatedAlgebra, max_root_height: i
     deg = rng.randint(0, alg.nilp)
     kind = rng.choice(["lowering", "cartan", "raising"])
     if kind == "cartan":
-        return cartan(base, rng.randrange(base.cartan_rank), deg)
+        return cartan(rng.randrange(base.cartan_rank), deg)
     alpha = rng.choice(base.positive_roots(max_root_height))
-    return lowering(base, alpha, deg) if kind == "lowering" else raising(base, alpha, deg)
+    return lowering(alpha, deg) if kind == "lowering" else raising(alpha, deg)
 
 
 def rand_vector(
@@ -251,7 +280,7 @@ def rand_vector(
         w = module.highest_weight_vector()
         for _ in range(rng.randint(0, max_factors)):
             w = module.act(
-                lowering(base, rng.choice(roots), rng.randint(0, module.alg.nilp)), w
+                lowering(rng.choice(roots), rng.randint(0, module.alg.nilp)), w
             )
         parts.append((rat(rng), w))
     return lin_sum(*parts)

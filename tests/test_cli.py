@@ -242,7 +242,7 @@ def test_weight_space_at_the_limit_is_accepted(tmp_path, capsys, monkeypatch):
 def test_check_height_at_the_limit_is_accepted(tmp_path, capsys, monkeypatch):
     # A zero top level kills every Virasoro coroot, so check lists every
     # root up to the height; past the limit it refuses instead.
-    monkeypatch.setattr(cli, "MAX_CHECK_HEIGHT", 5)
+    monkeypatch.setattr(cli, "MAX_ROOT_LISTING", 5)
     lam = write_weight(tmp_path, {"levels": [{}, {}]})
     assert main(["check", "--algebra", "virasoro", "--nilp", "1", "--lambda", lam, "--max-height", "5"]) == 0
     assert capsys.readouterr().out == (
@@ -254,7 +254,7 @@ def test_check_height_at_the_limit_is_accepted(tmp_path, capsys, monkeypatch):
 
 def test_check_height_past_the_limit_exit_code(tmp_path, capsys):
     lam = write_weight(tmp_path, {"levels": [{}, {}]})
-    height = str(cli.MAX_CHECK_HEIGHT + 1)
+    height = str(cli.MAX_ROOT_LISTING + 1)
     code = main(["check", "--algebra", "oscillator", "--nilp", "1", "--lambda", lam, "--max-height", height])
     assert_input_error(capsys, code)
 
@@ -274,6 +274,21 @@ def test_validate_zero_height_exit_code(capsys):
 def test_figure_zero_m_max_exit_code(capsys):
     code = main(["figure", "--which", "virasoro", "--m-max", "0", "--format", "csv", "--out", "-"])
     assert_input_error(capsys, code)
+
+
+def test_figure_m_max_at_the_limit_is_accepted(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "MAX_ROOT_LISTING", 3)
+    assert main(["figure", "--which", "virasoro", "--m-max", "3", "--format", "csv", "--out", "-"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 4  # a header and one line per m
+    code = main(["figure", "--which", "virasoro", "--m-max", "4", "--format", "csv", "--out", "-"])
+    assert_input_error(capsys, code)
+
+
+def test_figure_m_max_past_the_limit_exit_code(capsys):
+    m_max = str(cli.MAX_ROOT_LISTING + 1)
+    for which in ("virasoro", "sl3"):
+        code = main(["figure", "--which", which, "--m-max", m_max, "--format", "svg", "--out", "-"])
+        assert_input_error(capsys, code)
 
 
 def test_bad_thread_count_exit_code(monkeypatch, capsys):

@@ -27,7 +27,7 @@ def test_nilp_must_be_positive():
 
 def test_degree_out_of_range_is_rejected():
     alg = TruncatedAlgebra(algebra("sl2"), 1)
-    bad = CurrentElement(alg.base.cartan_element(0), 2)
+    bad = CurrentElement(BaseElement.cartan(0), 2)
     with pytest.raises(UnknownElementError, match="degree"):
         alg.check(bad)
     with pytest.raises(UnknownElementError):
@@ -36,7 +36,7 @@ def test_degree_out_of_range_is_rejected():
 
 def test_check_validates_each_element_once(monkeypatch):
     alg = TruncatedAlgebra(algebra("sl3"), 2)
-    x = lowering(alg.base, Root((1, 1)), 2)
+    x = lowering(Root((1, 1)), 2)
     calls = []
     check_element = alg.base.check_element
     monkeypatch.setattr(alg.base, "check_element", lambda x: calls.append(x) or check_element(x))
@@ -49,7 +49,7 @@ def test_check_validates_each_element_once(monkeypatch):
 def test_check_rejects_an_invalid_element_on_every_call():
     alg = TruncatedAlgebra(algebra("sl3"), 2)
     bad_root = CurrentElement(BaseElement.of_root(Root((2, 1))), 0)
-    bad_degree = lowering(alg.base, Root((1, 0)), 3)
+    bad_degree = lowering(Root((1, 0)), 3)
     for bad in (bad_root, bad_degree):
         for _ in range(2):
             with pytest.raises(UnknownElementError):
@@ -58,18 +58,18 @@ def test_check_rejects_an_invalid_element_on_every_call():
 
 def test_bracket_examples():
     sl2 = TruncatedAlgebra(algebra("sl2"), 1)
-    e, f = raising(sl2.base, ALPHA, 1), lowering(sl2.base, ALPHA, 1)
+    e, f = raising(ALPHA, 1), lowering(ALPHA, 1)
     assert sl2.bracket(e, f) == {}  # t^2 truncates
 
-    e0 = raising(sl2.base, ALPHA, 0)
-    f1 = lowering(sl2.base, ALPHA, 1)
-    assert sl2.bracket(e0, f1) == {cartan(sl2.base, 0, 1): 1}
+    e0 = raising(ALPHA, 0)
+    f1 = lowering(ALPHA, 1)
+    assert sl2.bracket(e0, f1) == {cartan(0, 1): 1}
 
     vir = TruncatedAlgebra(algebra("virasoro"), 2)
-    l1 = raising(vir.base, ALPHA, 1)
-    lm1 = lowering(vir.base, ALPHA, 1)
+    l1 = raising(ALPHA, 1)
+    lm1 = lowering(ALPHA, 1)
     # [L1 (x) t, L-1 (x) t] = 2 L0 (x) t^2: the central term vanishes at m=1
-    assert vir.bracket(l1, lm1) == {cartan(vir.base, 0, 2): 2}
+    assert vir.bracket(l1, lm1) == {cartan(0, 2): 2}
 
 
 def test_truncation_nilpotency():

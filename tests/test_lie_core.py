@@ -1,4 +1,4 @@
-"""Structure constants, pairings and root catalogs of the built-in algebras."""
+"""Structure constants, coroots and root catalogs of the built-in algebras."""
 
 import pickle
 import random
@@ -15,6 +15,8 @@ from helpers import (
     any_algebra,
     basis_sample,
     bracket_ext,
+    closed_form_coroots,
+    coroot_element,
     is_sparse,
     lin_sum,
     root_functional,
@@ -26,12 +28,15 @@ from tcla import (
     InvalidAlgebraError,
     NotARootError,
     Root,
+    TruncatedAlgebra,
     UnknownAlgebraError,
     UnknownElementError,
+    WeightFunctional,
     algebra,
+    scan_reducible,
 )
 from tcla import lie_core
-from tcla.lie_core import Algebra, MatrixAlgebra, OscillatorAlgebra, SpecialLinear, add_term
+from tcla.lie_core import Algebra, MatrixAlgebra, SpecialLinear, add_term
 
 SL2 = algebra("sl2")
 SL3 = algebra("sl3")
@@ -83,9 +88,9 @@ def test_add_term_drops_cancelled_keys():
 
 
 def test_sl2_bracket_examples():
-    e = SL2.root_element(ALPHA)
-    f = SL2.root_element(-ALPHA)
-    h = SL2.cartan_element(0)
+    e = BaseElement.of_root(ALPHA)
+    f = BaseElement.of_root(-ALPHA)
+    h = BaseElement.cartan(0)
     assert SL2.bracket(e, f) == {h: 1}
     assert SL2.bracket(h, h) == {}
     assert SL2.bracket(h, e) == {e: 2}
@@ -94,35 +99,46 @@ def test_sl2_bracket_examples():
 
 def test_virasoro_bracket_example():
     # [L2, L-2] = 4 L0 + (8-2)/12 c = 4 L0 + 1/2 c
-    l2 = VIR.root_element(Root((2,)))
-    lm2 = VIR.root_element(Root((-2,)))
-    expected = {VIR.cartan_element(0): 4, VIR.cartan_element(1): Fraction(1, 2)}
+    l2 = BaseElement.of_root(Root((2,)))
+    lm2 = BaseElement.of_root(Root((-2,)))
+    expected = {BaseElement.cartan(0): 4, BaseElement.cartan(1): Fraction(1, 2)}
     assert VIR.bracket(l2, lm2) == expected
+
+
+def test_oscillator_bracket_examples():
+    # x_m = a_m / m and x_-m = a_-m, so [x_m, x_-m] = hbar for every m > 0.
+    d, hbar = BaseElement.cartan(0), BaseElement.cartan(1)
+    for m in range(1, 7):
+        x, y = BaseElement.of_root(Root((m,))), BaseElement.of_root(Root((-m,)))
+        assert OSC.bracket(x, y) == {hbar: 1}
+        assert OSC.bracket(y, x) == {hbar: -1}
+        assert OSC.bracket(d, x) == {x: m}
+        assert OSC.bracket(d, y) == {y: -m}
 
 
 def test_bracket_rejects_unknown_elements():
     bad = BaseElement.of_root(Root((2, 0)))  # not an sl3 root
     with pytest.raises(UnknownElementError):
-        SL3.bracket(bad, SL3.cartan_element(0))
+        SL3.bracket(bad, BaseElement.cartan(0))
     with pytest.raises(UnknownElementError):
-        SL2.bracket(SL2.cartan_element(0), BaseElement.cartan(5))
+        SL2.bracket(BaseElement.cartan(0), BaseElement.cartan(5))
     with pytest.raises(UnknownElementError):  # root spaces are one-dimensional
-        SL2.bracket(BaseElement(ALPHA, 1), SL2.cartan_element(0))
+        SL2.bracket(BaseElement(ALPHA, 1), BaseElement.cartan(0))
     # Rejections are never stored: the same invalid pair raises again, and a
     # valid pair asked for after a rejection still gets its bracket.
     for base, x, y in [
-        (SL3, bad, SL3.cartan_element(0)),
-        (SL3, SL3.cartan_element(0), bad),
-        (VIR, VIR.cartan_element(0), BaseElement.cartan(2)),
-        (OSC, BaseElement.of_root(Root((0,))), OSC.cartan_element(0)),
+        (SL3, bad, BaseElement.cartan(0)),
+        (SL3, BaseElement.cartan(0), bad),
+        (VIR, BaseElement.cartan(0), BaseElement.cartan(2)),
+        (OSC, BaseElement.of_root(Root((0,))), BaseElement.cartan(0)),
     ]:
         for _ in range(2):
             with pytest.raises(UnknownElementError):
                 base.bracket(x, y)
-    e1 = SL3.root_element(Root((1, 0)))
-    e2 = SL3.root_element(Root((0, 1)))
-    assert SL3.bracket(e1, e2) == {SL3.root_element(Root((1, 1))): 1}
-    assert SL3.bracket(e1, e2) == {SL3.root_element(Root((1, 1))): 1}
+    e1 = BaseElement.of_root(Root((1, 0)))
+    e2 = BaseElement.of_root(Root((0, 1)))
+    assert SL3.bracket(e1, e2) == {BaseElement.of_root(Root((1, 1))): 1}
+    assert SL3.bracket(e1, e2) == {BaseElement.of_root(Root((1, 1))): 1}
 
 
 # -- sl(n) against its matrices ---------------------------------------------------
@@ -200,7 +216,7 @@ def test_matrix_algebra_refuses_an_entry_at_an_earlier_pivot():
 
 def test_sp4_is_data_on_the_matrix_bracket():
     # The catalog is read off the matrix data; the bracket is the base's,
-    # and the pairing and coroots are the generic ones read from it.
+    # and the coroots are the generic ones read from it.
     for cls in (SpecialLinear, Sp4, G2):
         assert not {"_structure", "pairing", "coroot", "simple_root_action"} & set(vars(cls)), cls
     sp4 = Sp4()
@@ -209,37 +225,12 @@ def test_sp4_is_data_on_the_matrix_bracket():
     g2 = G2()
     assert (g2.cartan_rank, g2.simple_generator_count) == (2, 2)
     assert g2.positive_roots() == [Root(c) for c in ((1, 0), (0, 1), (1, 1), (2, 1), (3, 1), (3, 2))]
-    # Among the library's algebras only the oscillator normalises its
-    # pairing, and no class but Algebra has a coroot of its own.
+    # Every basis is normalised by its bracket: no class defines a pairing,
+    # and no class but Algebra has a coroot of its own.
     library = [c for c in vars(lie_core).values() if isinstance(c, type) and issubclass(c, Algebra)]
-    assert {c for c in library if "pairing" in vars(c)} == {Algebra, OscillatorAlgebra}
     for cls in library + [Sp4, G2, RescaledLowering]:
+        assert "pairing" not in vars(cls), cls
         assert ("coroot" in vars(cls)) == (cls is Algebra), cls
-
-
-# Closed forms of the coroots, the oracle for the ones read from the bracket.
-SP4_COROOTS = {Root((1, 0)): (1, 0), Root((0, 1)): (0, 1), Root((1, 1)): (1, 2), Root((2, 1)): (1, 1)}
-# 2 alpha / (alpha, alpha) over the simple coroots, alpha1 short.
-G2_COROOTS = {
-    Root((1, 0)): (1, 0), Root((0, 1)): (0, 1), Root((1, 1)): (1, 3),
-    Root((2, 1)): (2, 3), Root((3, 1)): (1, 1), Root((3, 2)): (1, 2),
-}
-
-
-def _closed_form_coroots(base):
-    """Every positive root of ``base`` (to height 12) with its coroot's
-    closed form."""
-    if isinstance(base, RescaledLowering):
-        return _closed_form_coroots(base.base)
-    if base.name == "virasoro":
-        return {Root((m,)): (2 * m, Fraction(m**3 - m, 12)) for m in range(1, 13)}
-    if base.name == "oscillator":
-        return {Root((m,)): (0, 1) for m in range(1, 13)}
-    if base.name == "sp4":
-        return SP4_COROOTS
-    if base.name == "g2":
-        return G2_COROOTS
-    return {root: root.coords for root in base.positive_roots()}  # sl(n)
 
 
 def test_coroot_examples():
@@ -250,7 +241,7 @@ def test_coroot_examples():
 
     for name in BUILTIN_ALGEBRAS + ("sp4", "g2"):
         for base in (any_algebra(name), RescaledLowering(any_algebra(name), scale)):
-            expected = _closed_form_coroots(base)
+            expected = closed_form_coroots(base)
             assert len(expected) >= len(base.positive_roots(12))
             for alpha, h in expected.items():
                 got = base.coroot(alpha)
@@ -266,35 +257,27 @@ def test_coroot_rejects_non_roots():
 
 
 def test_dual_raising_examples():
-    assert SL2.dual_raising(ALPHA) == {SL2.root_element(ALPHA): 1}
-    assert VIR.dual_raising(Root((3,))) == {VIR.root_element(Root((3,))): 1}
-    assert OSC.dual_raising(Root((2,))) == {OSC.root_element(Root((2,))): Fraction(1, 2)}
+    # The raising basis vector itself, whose bracket with the lowering
+    # vector is the coroot.
+    for base, alpha in [(SL2, ALPHA), (SL3, Root((1, 1))), (VIR, Root((3,))), (OSC, Root((2,))), (OSC, Root((4,)))]:
+        x = base.dual_raising(alpha)
+        assert type(x) is BaseElement and x == BaseElement.of_root(alpha)
+        assert base.bracket(x, BaseElement.of_root(-alpha)) == coroot_element(closed_form_coroots(base)[alpha])
 
 
 @pytest.mark.parametrize("name", BUILTIN_ALGEBRAS + ("sp4", "sl3[rescaled]", "virasoro[rescaled]"))
 def test_cached_results_are_zero_free_read_only_views(name):
-    # Every caller shares a stored bracket or dual raising vector.
+    # Every caller shares a stored bracket.
     if name.endswith("[rescaled]"):
         base = RescaledLowering(algebra(name.split("[")[0]), lambda a: Fraction(2, a.height + 2))
     else:
         base = any_algebra(name)
     sample = basis_sample(base)
     views = [base.bracket(x, y) for x in sample for y in sample]
-    views += [base.dual_raising(alpha) for alpha in base.positive_roots(3)]
     for view in views:
         assert is_sparse(view), view
         with pytest.raises(TypeError):
             view[sample[0]] = Fraction(1)
-
-
-def test_dual_raising_is_pairing_dual():
-    # bracket(dual_raising(alpha), lowering vector) recovers the coroot
-    for base, alpha in [(SL3, Root((1, 1))), (VIR, Root((3,))), (OSC, Root((4,)))]:
-        dual = base.dual_raising(alpha)
-        y = base.root_element(-alpha)
-        got = bracket_ext(base, dual, {y: 1})
-        expected = {BaseElement.cartan(k): c for k, c in enumerate(base.coroot(alpha)) if c}
-        assert got == expected
 
 
 def test_enumerate_positive_roots_examples():
@@ -384,15 +367,12 @@ def test_grading(name, bound):
     "name,bound", [("sl2", 1), ("sl3", 2), ("sl4", 3), ("virasoro", 6), ("oscillator", 6), ("sp4", 3), ("g2", 5)]
 )
 def test_pairing_consistency(name, bound):
-    # bracket(x_alpha, y_alpha) = <x_alpha, y_alpha> * h_alpha
+    # bracket(x_alpha, y_alpha) = h_alpha, the nonzero closed-form coroot
     base = any_algebra(name)
+    coroots = closed_form_coroots(base)
     for alpha in base.positive_roots(bound):
-        p = base.pairing(alpha)
-        h = base.coroot(alpha)
-        assert p != 0 and any(c != 0 for c in h), "pairing and coroot must be nonzero"
-        h_comb = {BaseElement.cartan(k): c for k, c in enumerate(h) if c}
-        got = base.bracket(base.root_element(alpha), base.root_element(-alpha))
-        assert got == lin_sum((p, h_comb))
+        got = base.bracket(BaseElement.of_root(alpha), BaseElement.of_root(-alpha))
+        assert got == coroot_element(coroots[alpha]) != {}, alpha
 
 
 @pytest.mark.parametrize(
@@ -403,9 +383,9 @@ def test_cartan_action(name, bound):
     for root in base.positive_roots(bound):
         for signed in (root, -root):
             action = root_functional(base, signed)
-            x = base.root_element(signed)
+            x = BaseElement.of_root(signed)
             for k in range(base.cartan_rank):
-                got = base.bracket(base.cartan_element(k), x)
+                got = base.bracket(BaseElement.cartan(k), x)
                 assert got == lin_sum((action[k], {x: 1}))
 
 
@@ -413,7 +393,7 @@ def test_cartan_action(name, bound):
 @given(st.integers(-6, 6), st.integers(-6, 6), st.integers(-6, 6))
 def test_virasoro_jacobi_hypothesis(m, n, p):
     def elem(k):
-        return VIR.cartan_element(0) if k == 0 else VIR.root_element(Root((k,)))
+        return BaseElement.cartan(0) if k == 0 else BaseElement.of_root(Root((k,)))
 
     x, y, z = elem(m), elem(n), elem(p)
     total = lin_sum(
@@ -422,18 +402,6 @@ def test_virasoro_jacobi_hypothesis(m, n, p):
         (1, bracket_ext(VIR, VIR.bracket(z, x), {y: 1})),
     )
     assert total == {}
-
-
-def test_singular_pairing_violates_nondegeneracy():
-    class Broken(SpecialLinear):
-        def pairing(self, alpha):
-            return Fraction(0)
-
-    broken = Broken(2)
-    with pytest.raises(InvalidAlgebraError):
-        broken.dual_raising(Root((1,)))
-    with pytest.raises(InvalidAlgebraError):
-        broken.coroot(Root((1,)))
 
 
 def test_bracket_without_a_cartan_part_has_no_coroot():
@@ -446,9 +414,18 @@ def test_bracket_without_a_cartan_part_has_no_coroot():
     units = {h: {(0, 0): 1, (1, 1): -1}, x: {(0, 1): 1}, y: {(1, 2): 1}, x2: {(0, 2): 1}}
     root_term = MatrixAlgebra("root-term", units)
     assert root_term.bracket(x, y) == {x2: 1}
+    # Neither has a coroot or a dual raising vector, and a refusal is not
+    # cached: asked again, it raises again.
     for alg in (zero, root_term):
-        with pytest.raises(InvalidAlgebraError):
-            alg.coroot(ALPHA)
+        for _ in range(2):
+            with pytest.raises(InvalidAlgebraError):
+                alg.coroot(ALPHA)
+            with pytest.raises(InvalidAlgebraError):
+                alg.dual_raising(ALPHA)
+    # The determinant scan refuses the degenerate bracket too, rather than
+    # reading det = 0 off it.
+    with pytest.raises(InvalidAlgebraError):
+        scan_reducible(WeightFunctional([[5], [3]]), TruncatedAlgebra(zero, 1), 2)
 
 
 def test_rescaled_lowering_keeps_the_axioms():
@@ -459,17 +436,23 @@ def test_rescaled_lowering_keeps_the_axioms():
         return scales.setdefault(alpha, Fraction(rng.randint(1, 7), rng.randint(1, 5)))
 
     scaled = RescaledLowering(SL3, scale)
-    # pairing consistency and the Cartan action survive the rescale
+    # the coroots and the Cartan action survive the rescale
     for alpha in scaled.positive_roots(2):
-        assert scaled.pairing(alpha) == SL3.pairing(alpha) * scale(alpha)
-        h_comb = {BaseElement.cartan(k): c for k, c in enumerate(scaled.coroot(alpha)) if c}
-        got = scaled.bracket(scaled.root_element(alpha), scaled.root_element(-alpha))
-        assert got == lin_sum((scaled.pairing(alpha), h_comb))
+        assert scaled.coroot(alpha) == SL3.coroot(alpha)
+        got = scaled.bracket(BaseElement.of_root(alpha), BaseElement.of_root(-alpha))
+        assert got == coroot_element(SL3.coroot(alpha))
         for signed in (alpha, -alpha):
             action = root_functional(scaled, signed)
-            x = scaled.root_element(signed)
+            x = BaseElement.of_root(signed)
             for k in range(scaled.cartan_rank):
-                assert scaled.bracket(scaled.cartan_element(k), x) == lin_sum((action[k], {x: 1}))
+                assert scaled.bracket(BaseElement.cartan(k), x) == lin_sum((action[k], {x: 1}))
+    # the rescale shows between roots: x_alpha becomes x_alpha / s and
+    # y_alpha becomes s y_alpha, while [e1, e2] = e12 and [f1, f2] = -f12
+    a1, a2 = Root((1, 0)), Root((0, 1))
+    raised = scaled.bracket(BaseElement.of_root(a1), BaseElement.of_root(a2))
+    assert raised == {BaseElement.of_root(a1 + a2): scale(a1 + a2) / (scale(a1) * scale(a2))}
+    lowered = scaled.bracket(BaseElement.of_root(-a1), BaseElement.of_root(-a2))
+    assert lowered == {BaseElement.of_root(-a1 - a2): -scale(a1) * scale(a2) / scale(a1 + a2)}
     # spot-check Jacobi in the rescaled basis
     elems = basis_sample(scaled, 2)
     for _ in range(100):

@@ -30,6 +30,10 @@ REMOVED_ATTRIBUTES = [
     (tcla.BaseElement, "is_cartan"),
     (tcla.Algebra, "root_functional"),
     (tcla.Algebra, "simple_root_action"),
+    (tcla.Algebra, "pairing"),
+    (tcla.OscillatorAlgebra, "pairing"),
+    (tcla.Algebra, "cartan_element"),
+    (tcla.Algebra, "root_element"),
 ]
 
 

@@ -40,7 +40,7 @@ def sl2_module(levels=((5,), (3,))):
 
 def test_ascend_examples():
     m = sl2_module()
-    f0, f1 = lowering(m.alg.base, ALPHA, 0), lowering(m.alg.base, ALPHA, 1)
+    f0, f1 = lowering(ALPHA, 0), lowering(ALPHA, 1)
     v = m.descend((f0,))
     assert ascend(m, (f0,), v) == {(): 5}
     assert ascend(m, (f1,), v) == {(): 3}
@@ -52,7 +52,7 @@ def test_sl2_hand_oracle_matrix():
     # [[L0, L1], [L1, 0]] for levels (5, 3).
     m = sl2_module()
     mat = shapovalov_matrix(m, ALPHA)
-    f0, f1 = lowering(m.alg.base, ALPHA, 0), lowering(m.alg.base, ALPHA, 1)
+    f0, f1 = lowering(ALPHA, 0), lowering(ALPHA, 1)
     assert mat.monomials == [(f0,), (f1,)]
     assert mat.entries == [[5, 3], [3, 0]]
     assert determinant_at(m, ALPHA) == -9
@@ -368,7 +368,7 @@ def test_planted_entry_above_the_block_diagonal_raises():
     alg = TruncatedAlgebra(algebra("sl3"), 2)
     mat = shapovalov_matrix(VermaModule(alg, rand_weight(rng, alg.base, 2)), Root((1, 1)))
     # Row f(1,1)@1 against column f(1,1)@2: t-degrees 1 + 2 > N * 1.
-    i, j = (mat.monomials.index((lowering(alg.base, Root((1, 1)), d),)) for d in (1, 2))
+    i, j = (mat.monomials.index((lowering(Root((1, 1)), d),)) for d in (1, 2))
     assert mat.entries[i][j] == 0
     mat.entries[i][j] = Fraction(1)
     with pytest.raises(InvalidAlgebraError, match="t-degree bound"):

@@ -53,12 +53,10 @@ def test_from_named_defaults_and_validation():
 
 
 def test_monomial_weight_examples():
-    sl2 = algebra("sl2")
-    mono = (lowering(sl2, ALPHA, 0), lowering(sl2, ALPHA, 1))
+    mono = (lowering(ALPHA, 0), lowering(ALPHA, 1))
     assert monomial_weight(mono, 1) == Root((2,))
 
-    sl3 = algebra("sl3")
-    mono3 = (lowering(sl3, Root((1, 0)), 0), lowering(sl3, Root((1, 1)), 1))
+    mono3 = (lowering(Root((1, 0)), 0), lowering(Root((1, 1)), 1))
     assert monomial_weight(mono3, 2) == Root((2, 1))
 
     assert monomial_weight((), 2) == Root((0, 0))
@@ -66,7 +64,7 @@ def test_monomial_weight_examples():
 
 def test_enumerate_sl2_examples():
     alg = TruncatedAlgebra(algebra("sl2"), 1)
-    f0, f1 = lowering(alg.base, ALPHA, 0), lowering(alg.base, ALPHA, 1)
+    f0, f1 = lowering(ALPHA, 0), lowering(ALPHA, 1)
     assert enumerate_monomials(ALPHA, alg) == [(f0,), (f1,)]
     assert enumerate_monomials(Root((2,)), alg) == [(f0, f0), (f0, f1), (f1, f1)]
 
@@ -175,8 +173,7 @@ def test_enumeration_is_deterministic_and_canonical():
 
 
 def test_format_monomial():
-    sl3 = algebra("sl3")
-    mono = (lowering(sl3, Root((1, 0)), 0), lowering(sl3, Root((1, 1)), 2))
+    mono = (lowering(Root((1, 0)), 0), lowering(Root((1, 1)), 2))
     assert format_monomial(mono) == "f(1,0)[0]@0 * f(1,1)[0]@2"
     assert format_monomial(()) == "1"
 
