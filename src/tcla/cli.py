@@ -83,10 +83,18 @@ def _load_weight(path: str, base: Algebra, nilp: int) -> WeightFunctional:
         raise InputError(f"weight file {path}: {exc}") from exc
 
 
+def _parse_int(text: str) -> int:
+    """An optional sign and digits, the integer rule of a weight file;
+    ``int`` alone would also read "1_0" as 10."""
+    if not (text[1:] if text[:1] in "+-" else text).isdecimal():
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
+
+
 def _parse_chi(text: str, base: Algebra) -> Root:
     parts = [p.strip() for p in text.split(",")]
     try:
-        coords = tuple(int(p) for p in parts)
+        coords = tuple(_parse_int(p) for p in parts)
     except ValueError as exc:
         raise InputError(f"chi must be comma-separated integers, got {text!r}") from exc
     if len(coords) != base.simple_generator_count:

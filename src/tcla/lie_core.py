@@ -20,9 +20,12 @@ and only adds the t-degrees.
 
 A linear combination, here and in the Verma module, is a plain dict from
 key to nonzero Fraction, built with ``add_term`` or with a comprehension
-whose values are known to be nonzero.  The cached results of ``bracket``
-are shared by every caller, so they are read-only ``MappingProxyType``
-views; every other function returns a dict that the caller owns.
+whose values are known to be nonzero; ``add_scaled`` adds a multiple of
+one sum into another.  Neither does arithmetic that leaves a value as it
+is: a new key takes the caller's value without adding 0, and a multiple
+of 1 takes no product.  The cached results of ``bracket`` are shared by
+every caller, so they are read-only ``MappingProxyType`` views; every
+other function returns a dict that the caller owns.
 
 Built-in conventions
 --------------------
@@ -171,12 +174,28 @@ class BaseElement(NamedTuple):
 
 
 def add_term(acc: dict, key, c: Fraction) -> None:
-    """Add ``c`` at ``key`` of the sparse sum ``acc``; drop the key if it cancels."""
-    c += acc.get(key, 0)
+    """Add ``c`` at ``key`` of the sparse sum ``acc``; drop the key if it cancels.
+
+    An absent key stores ``c`` itself, and only if it is nonzero: no zero is
+    ever added."""
+    old = acc.get(key)
+    if old is not None:
+        c += old
     if c:
         acc[key] = c
+    elif old is not None:
+        del acc[key]
+
+
+def add_scaled(acc: dict, terms: Mapping, c: Fraction) -> None:
+    """Add ``c * terms`` into the sparse sum ``acc``; when ``c`` is 1 the
+    values of ``terms`` go in as they are, with no product."""
+    if c == 1:
+        for key, value in terms.items():
+            add_term(acc, key, value)
     else:
-        acc.pop(key, None)
+        for key, value in terms.items():
+            add_term(acc, key, c * value)
 
 
 class Algebra:

@@ -18,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .current import CurrentElement, TruncatedAlgebra
-from .lie_core import Root, add_term
+from .lie_core import Root, add_scaled
 from .weights import Monomial, WeightFunctional, factor_key
 
 _ONE = Fraction(1)
@@ -53,12 +53,14 @@ class VermaModule:
 
     def act(self, x: CurrentElement, v: Terms) -> Terms:
         """x . v for any generator x, straightened to the PBW basis, as a
-        fresh dict that the caller owns."""
+        fresh dict that the caller owns.
+
+        A coefficient 1 in ``v`` takes no product, so on ``{mono: 1}`` the
+        result is a copy of the memoised action with no arithmetic."""
         self.alg.check(x)
         out: Terms = {}
         for mono, coeff in v.items():
-            for m2, c2 in self._act_mono(x, mono).items():
-                add_term(out, m2, coeff * c2)
+            add_scaled(out, self._act_mono(x, mono), coeff)
         return out
 
     def descend(self, mono: Monomial) -> Terms:
@@ -93,11 +95,9 @@ class VermaModule:
             f0, rest = mono[0], mono[1:]
             acc: Terms = {}
             for m2, c2 in self._act_mono(x, rest).items():
-                for m3, c3 in self._act_mono(f0, m2).items():
-                    add_term(acc, m3, c2 * c3)
+                add_scaled(acc, self._act_mono(f0, m2), c2)
             for z, cz in self.alg.bracket(x, f0).items():
-                for m3, c3 in self._act_mono(z, rest).items():
-                    add_term(acc, m3, cz * c3)
+                add_scaled(acc, self._act_mono(z, rest), cz)
             out = acc
 
         self._memo[key] = out

@@ -176,9 +176,11 @@ def enumerate_monomials(chi: Root, alg: TruncatedAlgebra) -> list[Monomial]:
     stack: list[CurrentElement] = []
 
     def extend(i: int, remaining: tuple[int, ...]) -> None:
+        # An empty remainder has one completion: every later exponent 0.
+        if not any(remaining):
+            out.append(tuple(stack))
+            return
         if i == len(gens):
-            if not any(remaining):
-                out.append(tuple(stack))
             return
         drop = drops[i]
         top = min(r // d for r, d in zip(remaining, drop) if d)

@@ -195,6 +195,16 @@ def test_chi_arity_exit_code(tmp_path, capsys):
     assert "coordinates" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("chi", ["1_0", "+1_0"])
+def test_chi_takes_a_sign_and_digits_only(tmp_path, capsys, chi):
+    # int() alone reads Python's digit grouping "1_0" as 10
+    lam = write_weight(tmp_path, SL2_WEIGHT)
+    code = main(["shapovalov", "--algebra", "sl2", "--nilp", "1", "--lambda", lam, "--chi", chi])
+    assert_input_error(capsys, code)
+    assert main(["shapovalov", "--algebra", "sl2", "--nilp", "1", "--lambda", lam, "--chi", " +1 "]) == 0
+    assert capsys.readouterr().out.startswith("chi=(1) size=2\n")
+
+
 def assert_input_error(capsys, code):
     # exit 3 with one "error:" line and no traceback
     assert code == 3

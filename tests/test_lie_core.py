@@ -36,7 +36,7 @@ from tcla import (
     scan_reducible,
 )
 from tcla import lie_core
-from tcla.lie_core import Algebra, MatrixAlgebra, SpecialLinear, add_term
+from tcla.lie_core import Algebra, MatrixAlgebra, SpecialLinear, add_scaled, add_term
 
 SL2 = algebra("sl2")
 SL3 = algebra("sl3")
@@ -85,6 +85,29 @@ def test_add_term_drops_cancelled_keys():
     for c in (1, -1, 2):
         add_term(acc, k, Fraction(c))
     assert list(acc.items()) == [(k, Fraction(2))]
+
+
+def test_sparse_sums_add_no_zero_and_multiply_by_no_one():
+    # Adding 0 or multiplying by 1 makes a new Fraction, so the identity
+    # checks fail if either comes back.
+    k, j = BaseElement.cartan(0), BaseElement.cartan(1)
+    c = Fraction(3, 4)
+    acc: dict = {}
+    add_term(acc, k, c)
+    assert acc[k] is c
+    acc = {}
+    add_term(acc, k, Fraction(0))
+    assert acc == {}
+    terms = {k: Fraction(3, 4), j: Fraction(-5)}
+    acc = {}
+    add_scaled(acc, terms, Fraction(1))
+    assert acc == terms and all(acc[key] is terms[key] for key in terms)
+    acc = dict(terms)
+    add_scaled(acc, terms, Fraction(-1))
+    assert acc == {}
+    acc = {}
+    add_scaled(acc, terms, Fraction(2, 3))
+    assert acc == {k: Fraction(1, 2), j: Fraction(-10, 3)}
 
 
 def test_sl2_bracket_examples():

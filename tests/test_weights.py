@@ -126,6 +126,10 @@ def brute_force_monomials(chi, alg):
         ("sl4", (1, 1, 1), 1),
         ("virasoro", (4,), 1),
         ("oscillator", (3,), 2),
+        # the remainder empties before the last generator
+        ("virasoro", (4,), 2),
+        ("oscillator", (4,), 2),
+        ("sl3", (2, 2), 2),
     ],
 )
 def test_enumeration_matches_brute_force(name, coords, nilp):
