@@ -42,7 +42,6 @@ from .weights import (
     WeightFunctional,
     enumerate_monomials,
     format_monomial,
-    monomial_weight,
     positive_lattice_points,
 )
 
@@ -80,7 +79,6 @@ __all__ = [
     "enumerate_monomials",
     "format_monomial",
     "matrix_to_json",
-    "monomial_weight",
     "positive_lattice_points",
     "render_csv",
     "render_svg",

@@ -20,7 +20,6 @@ from .criterion import (
     criterion_reducible,
     cross_validate,
     default_scan_height,
-    report_json_bytes,
     scan_reducible,
 )
 from .current import TruncatedAlgebra
@@ -268,7 +267,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     report = cross_validate(base, args.nilp, args.samples, args.seed, height, _threads())
     print(report.to_text())
     if args.json:
-        _emit(report_json_bytes(report).decode("utf-8") + "\n", args.json)
+        _emit(json.dumps(report.to_json(), indent=2) + "\n", args.json)
     return 0
 
 

@@ -18,11 +18,10 @@ two verdicts on randomly drawn weights.
 
 from __future__ import annotations
 
-import json
 import os
 import random
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .current import TruncatedAlgebra
 from .lie_core import Algebra, Root
@@ -32,30 +31,31 @@ from .verma import VermaModule
 from .weights import WeightFunctional, positive_lattice_points
 
 
-@dataclass
-class Verdict:
+class Verdict(NamedTuple):
     """Outcome of the coroot criterion.
 
     ``witnesses`` lists positive roots whose coroot the top weight level
-    annihilates.  ``scanned_height`` is None when that list is exhaustive;
-    it carries the listing bound when every positive root of an infinite
-    system qualifies (the verdict itself is still exact).
+    annihilates, and the module is reducible exactly when there is one.
+    ``scanned_height`` is None when that list is exhaustive; it carries the
+    listing bound when every positive root of an infinite system qualifies
+    (the verdict itself is still exact).
     """
 
-    reducible: bool
     witnesses: list[Root]
     scanned_height: int | None
 
+    @property
+    def reducible(self) -> bool:
+        return bool(self.witnesses)
 
-@dataclass
-class ScanRecord:
+
+class ScanRecord(NamedTuple):
     chi: Root
     dimension: int
     det: Fraction
 
 
-@dataclass
-class ScanReport:
+class ScanReport(NamedTuple):
     max_height: int
     records: list[ScanRecord]
 
@@ -88,7 +88,7 @@ def criterion_reducible(
         raise ValueError("weight shape does not match the algebra")
     top = weight.level(alg.nilp)
     witnesses, scanned = alg.base.coroot_zeros(top, max_root_height)
-    return Verdict(reducible=bool(witnesses), witnesses=witnesses, scanned_height=scanned)
+    return Verdict(witnesses, scanned)
 
 
 def scan_reducible(weight: WeightFunctional, alg: TruncatedAlgebra, max_height: int) -> ScanReport:
@@ -107,16 +107,27 @@ def scan_reducible(weight: WeightFunctional, alg: TruncatedAlgebra, max_height: 
 # -- cross-validation harness --------------------------------------------------
 
 
-@dataclass
-class ValidationReport:
+class ValidationReport(NamedTuple):
+    """One record per sample, as ``_run_sample`` returns it; the counts are
+    read from the records."""
+
     algebra: str
     nilp: int
-    samples: int
     seed: int
     max_height: int
     records: list[dict]
-    agreements: int
-    disagreements: list[int]
+
+    @property
+    def samples(self) -> int:
+        return len(self.records)
+
+    @property
+    def disagreements(self) -> list[int]:
+        return [rec["index"] for rec in self.records if not rec["agree"]]
+
+    @property
+    def agreements(self) -> int:
+        return sum(rec["agree"] for rec in self.records)
 
     def to_json(self) -> dict:
         return {
@@ -244,19 +255,4 @@ def cross_validate(
             records = list(pool.map(_run_worker_sample, range(samples)))
     else:
         records = [_run_sample(*harness, i) for i in range(samples)]
-    disagreements = [rec["index"] for rec in records if not rec["agree"]]
-    return ValidationReport(
-        algebra=base.name,
-        nilp=nilp,
-        samples=samples,
-        seed=seed,
-        max_height=max_height,
-        records=records,
-        agreements=samples - len(disagreements),
-        disagreements=disagreements,
-    )
-
-
-def report_json_bytes(report: ValidationReport) -> bytes:
-    """Canonical bytes of the machine-readable report (stable per seed)."""
-    return json.dumps(report.to_json(), indent=2, sort_keys=False).encode("utf-8")
+    return ValidationReport(base.name, nilp, seed, max_height, records)

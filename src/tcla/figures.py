@@ -10,8 +10,8 @@ for identical inputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .lie_core import Algebra, Root, algebra, root_label
 from .rationals import format_rational
@@ -19,20 +19,23 @@ from .rationals import format_rational
 Normal = tuple[Fraction, Fraction]
 
 
-@dataclass(frozen=True)
-class LineSet:
-    """Lines through the origin {(x, y) : n1 x + n2 y = 0} with labels."""
+class LineSet(NamedTuple):
+    """Lines through the origin {(x, y) : n1 x + n2 y = 0} with labels.
+
+    The renderers check that the labels are unique and the normals
+    nonzero before they write anything."""
 
     lines: tuple[tuple[str, Normal], ...]
     axes: tuple[str, str]
     range_halfwidth: Fraction
 
-    def __post_init__(self) -> None:
-        labels = [label for label, _ in self.lines]
-        if len(set(labels)) != len(labels):
-            raise ValueError("line labels must be unique")
-        if any(n1 == 0 and n2 == 0 for _, (n1, n2) in self.lines):
-            raise ValueError("line normals must be nonzero")
+
+def _check(ls: LineSet) -> None:
+    labels = [label for label, _ in ls.lines]
+    if len(set(labels)) != len(labels):
+        raise ValueError("line labels must be unique")
+    if any(n1 == 0 and n2 == 0 for _, (n1, n2) in ls.lines):
+        raise ValueError("line normals must be nonzero")
 
 
 def _loci(base: Algebra, roots: list[Root], axes: tuple[str, str]) -> LineSet:
@@ -62,6 +65,7 @@ def virasoro_lines(m_max: int) -> LineSet:
 
 
 def render_csv(ls: LineSet) -> str:
+    _check(ls)
     rows = ["label,n1,n2"]
     for label, (n1, n2) in ls.lines:
         rows.append(f"{label},{format_rational(n1)},{format_rational(n2)}")
@@ -92,6 +96,7 @@ def _endpoints(normal: Normal, r: Fraction) -> tuple[tuple[Fraction, Fraction], 
 
 
 def render_svg(ls: LineSet) -> str:
+    _check(ls)
     r = ls.range_halfwidth
     half = Fraction(_VIEW, 2)
     span = Fraction(_VIEW // 2 - _MARGIN)

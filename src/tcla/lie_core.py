@@ -60,9 +60,12 @@ Built-in conventions
 
 The value types ``Root`` and ``BaseElement`` (and ``CurrentElement`` in
 ``current``) are NamedTuples, so the memo and table lookups that key on
-them hash and compare natively.  A root's ``coords`` is a tuple of ints,
-its signed coordinates over the simple generators; positive roots have
-all coordinates >= 0.  The canonical order on positive roots is (height
+them hash and compare natively.  So are the reports of ``criterion`` and
+``figures`` and ``ShapovalovMatrix``; a field that follows from the
+others (``Verdict.reducible``, ``ValidationReport.samples``,
+``agreements`` and ``disagreements``) is a property, not stored.  A
+root's ``coords`` is a tuple of ints, its signed coordinates over the
+simple generators; positive roots have all coordinates >= 0.  The canonical order on positive roots is (height
 ascending, coordinates lexicographic descending), which for sl3 lists
 alpha1, alpha2, alpha1+alpha2.
 """
@@ -94,10 +97,6 @@ class Root(NamedTuple):
     """
 
     coords: tuple[int, ...]
-
-    @staticmethod
-    def zero(generators: int) -> "Root":
-        return Root((0,) * generators)
 
     @property
     def height(self) -> int:

@@ -52,8 +52,8 @@ determinants.  ``determinant`` checks the zero pattern on every call.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import linalg
 from .errors import InvalidAlgebraError
@@ -70,8 +70,7 @@ _ZERO = Fraction(0)
 Canonical = tuple[list[Monomial], dict[Monomial, int], list[dict[int, Fraction]]]
 
 
-@dataclass
-class ShapovalovMatrix:
+class ShapovalovMatrix(NamedTuple):
     chi: Root
     monomials: list[Monomial]
     entries: list[list[Fraction]]

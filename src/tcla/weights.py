@@ -93,16 +93,6 @@ def factor_key(x: CurrentElement) -> tuple:
     return (-root.height, root.coords, x.degree)
 
 
-def monomial_weight(mono: Monomial, generators: int) -> Root:
-    """Total weight drop chi of a monomial: sum of the positive counterparts
-    of its factors' roots.  The empty monomial has weight zero."""
-    total = Root.zero(generators)
-    for x in mono:
-        assert x.elem.root is not None
-        total = total + (-x.elem.root)
-    return total
-
-
 def format_monomial(mono: Monomial) -> str:
     """Stable text encoding: "f(root)[0]@deg * ...", or "1" when empty.
 

@@ -10,6 +10,7 @@ from tcla import (
     Algebra,
     BaseElement,
     CurrentElement,
+    Monomial,
     Root,
     ShapovalovMatrix,
     TruncatedAlgebra,
@@ -18,7 +19,6 @@ from tcla import (
     algebra,
     enumerate_monomials,
     linalg,
-    monomial_weight,
     shapovalov_matrix,
 )
 from tcla.errors import InvalidAlgebraError
@@ -284,6 +284,16 @@ def rand_vector(
             )
         parts.append((rat(rng), w))
     return lin_sum(*parts)
+
+
+def monomial_weight(mono: Monomial, generators: int) -> Root:
+    """Total weight drop chi of a monomial: sum of the positive counterparts
+    of its factors' roots.  The empty monomial has weight zero."""
+    total = Root((0,) * generators)
+    for x in mono:
+        assert x.elem.root is not None
+        total = total + (-x.elem.root)
+    return total
 
 
 def vector_weights(v: dict, generators: int) -> set[Root]:

@@ -143,7 +143,7 @@ def test_criterion_5_structure_constants(name):
         triples = [tuple(rng.choice(elems) for _ in range(3)) for _ in range(400)]
         pairs = [tuple(rng.choice(elems) for _ in range(2)) for _ in range(600)]
 
-    zero = Root.zero(base.simple_generator_count)
+    zero = Root((0,) * base.simple_generator_count)
     for x, y in pairs:
         assert lin_sum((1, base.bracket(x, y)), (1, base.bracket(y, x))) == {}
         rx = x.root if x.root is not None else zero

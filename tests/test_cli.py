@@ -1,6 +1,7 @@
 """Command-line surface: outputs, JSON schemas and exit codes."""
 
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -388,3 +389,18 @@ def test_importing_the_cli_leaves_the_process_pool_unloaded():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False\n"
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    # -S keeps the interpreter's site hooks, which may import either, out of
+    # the result; PYTHONPATH alone then finds the package.
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import sys, tcla.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

@@ -20,7 +20,6 @@ from tcla import (
     scan_reducible,
 )
 from tcla import criterion
-from tcla.criterion import report_json_bytes
 
 ALPHA = Root((1,))
 
@@ -206,10 +205,20 @@ def test_cross_validate_sl2():
 def test_cross_validate_is_deterministic():
     r1 = cross_validate(algebra("virasoro"), 1, 6, seed=11, max_height=3)
     r2 = cross_validate(algebra("virasoro"), 1, 6, seed=11, max_height=3)
-    assert report_json_bytes(r1) == report_json_bytes(r2)
-    doc = json.loads(report_json_bytes(r1))
+    assert r1.to_json() == r2.to_json()
+    doc = json.loads(json.dumps(r1.to_json()))
     assert set(doc) >= {"samples", "agreements", "disagreements"}
     assert doc["agreements"] == 6
+
+
+def test_report_counts_are_read_from_its_records():
+    report = cross_validate(algebra("sl2"), 1, 3, seed=5, max_height=1)
+    assert (report.samples, report.agreements, report.disagreements) == (3, 3, [])
+    flipped = report._replace(records=[dict(rec, agree=rec["index"] != 1) for rec in report.records])
+    assert (flipped.samples, flipped.agreements, flipped.disagreements) == (3, 2, [1])
+    assert flipped.to_text().splitlines()[-2:] == ["agreements: 2/3", "disagreements at samples: 1"]
+    doc = flipped.to_json()
+    assert (doc["agreements"], doc["disagreements"]) == (2, [1])
 
 
 def test_cross_validate_uses_the_algebra_it_is_given():
@@ -226,7 +235,7 @@ def test_cross_validate_uses_the_algebra_it_is_given():
 def test_cross_validate_parallel_matches_serial():
     serial = cross_validate(algebra("sl2"), 2, 8, seed=3, max_height=2, workers=1)
     parallel = cross_validate(algebra("sl2"), 2, 8, seed=3, max_height=2, workers=2)
-    assert report_json_bytes(serial) == report_json_bytes(parallel)
+    assert serial.to_json() == parallel.to_json()
 
 
 def test_pool_runs_an_algebra_that_cannot_be_pickled(monkeypatch):
@@ -236,7 +245,7 @@ def test_pool_runs_an_algebra_that_cannot_be_pickled(monkeypatch):
     scaled = RescaledLowering(algebra("sl3"), lambda a: Fraction(a.height + 1))
     pooled = cross_validate(scaled, 1, 2, 0, 2, workers=2)
     assert pooled.agreements == 2
-    assert report_json_bytes(pooled) == report_json_bytes(cross_validate(scaled, 1, 2, 0, 2))
+    assert pooled.to_json() == cross_validate(scaled, 1, 2, 0, 2).to_json()
 
 
 def test_worker_pool_is_capped_by_samples_and_cores(monkeypatch):
@@ -264,7 +273,7 @@ def test_worker_pool_is_capped_by_samples_and_cores(monkeypatch):
     base = algebra("sl2")
     serial = cross_validate(base, 1, 3, seed=5, max_height=1)
     wide = cross_validate(base, 1, 3, seed=5, max_height=1, workers=10**6)
-    assert report_json_bytes(wide) == report_json_bytes(serial)
+    assert wide.to_json() == serial.to_json()
     cross_validate(base, 1, 8, seed=5, max_height=1, workers=10**6)
     monkeypatch.setattr(criterion.os, "cpu_count", lambda: None)
     cross_validate(base, 1, 8, seed=5, max_height=1, workers=10**6)

@@ -112,6 +112,16 @@ def test_csv_content():
     assert rows[2] == "m=2,1/2,4"
 
 
+def test_renderers_refuse_duplicate_labels_and_zero_normals():
+    ls = sl3_hyperplanes()
+    duplicate = ls._replace(lines=ls.lines + ls.lines[:1])
+    zero = ls._replace(lines=ls.lines + (("zero", (Fraction(0), Fraction(0))),))
+    for bad, message in ((duplicate, "labels must be unique"), (zero, "normals must be nonzero")):
+        for render in (render_csv, render_svg):
+            with pytest.raises(ValueError, match=message):
+                render(bad)
+
+
 def test_rendering_is_deterministic():
     assert render_svg(sl3_hyperplanes()) == render_svg(sl3_hyperplanes())
     assert render_csv(virasoro_lines(7)) == render_csv(virasoro_lines(7))

@@ -374,7 +374,7 @@ def test_jacobi(name, bound, triples):
 )
 def test_grading(name, bound):
     base = any_algebra(name)
-    zero = Root.zero(base.simple_generator_count)
+    zero = Root((0,) * base.simple_generator_count)
     for x, y in _pairs(base, bound):
         rx = x.root if x.root is not None else zero
         ry = y.root if y.root is not None else zero

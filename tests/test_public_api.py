@@ -6,7 +6,7 @@ from tcla import TruncatedAlgebra, VermaModule, WeightFunctional, lie_core, lina
 
 REMOVED_EXPORTS = (
     "VermaVector", "canonical_monomial", "enumerate_positive_roots", "render", "Rat", "shapovalov_determinant",
-    "RescaledLowering", "LinComb",
+    "RescaledLowering", "LinComb", "monomial_weight",
 )
 REMOVED_ATTRIBUTES = [
     (tcla.Algebra, "element_label"),
@@ -34,6 +34,7 @@ REMOVED_ATTRIBUTES = [
     (tcla.OscillatorAlgebra, "pairing"),
     (tcla.Algebra, "cartan_element"),
     (tcla.Algebra, "root_element"),
+    (tcla.Root, "zero"),
 ]
 
 

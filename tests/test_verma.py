@@ -168,7 +168,7 @@ def test_weight_homogeneity():
         out = m.act(x, v)
         if not out:
             continue
-        drop = Root.zero(gens) if x.elem.root is None else -x.elem.root
+        drop = Root((0,) * gens) if x.elem.root is None else -x.elem.root
         assert vector_weights(out, gens) == {chi + drop}
 
 

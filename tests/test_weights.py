@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import any_algebra, enumerate_monomials_per_factor, lowering
+from helpers import any_algebra, enumerate_monomials_per_factor, lowering, monomial_weight
 from tcla import (
     DegreeError,
     Root,
@@ -18,7 +18,6 @@ from tcla import (
     algebra,
     enumerate_monomials,
     format_monomial,
-    monomial_weight,
     positive_lattice_points,
 )
 from tcla.weights import factor_key, lowering_generators, weight_space_dimension
@@ -81,7 +80,7 @@ def test_enumerate_sl3_example():
 def test_enumerate_zero_weight():
     for name in ("sl2", "virasoro"):
         alg = TruncatedAlgebra(algebra(name), 2)
-        zero = Root.zero(alg.base.simple_generator_count)
+        zero = Root((0,) * alg.base.simple_generator_count)
         assert enumerate_monomials(zero, alg) == [()]
 
 
