@@ -3,9 +3,9 @@
 Subcommands: ``algebras``, ``check``, ``shapovalov``, ``scan``,
 ``validate``, ``figure``.  All numeric output is exact (p/q, never
 decimals).  Exit codes: 0 success, 2 usage error, 3 input-validation
-error (including a weight space past ``MAX_WEIGHT_SPACE`` and a ``check``
-height or ``figure`` m-max past ``MAX_ROOT_LISTING``), 4 internal invariant
-violation.
+error (including a weight space past ``MAX_WEIGHT_SPACE``, a ``check``
+height or ``figure`` m-max past ``MAX_ROOT_LISTING`` and a ``validate``
+sample count past ``MAX_SAMPLES``), 4 internal invariant violation.
 """
 
 from __future__ import annotations
@@ -33,9 +33,11 @@ from .weights import WeightFunctional, positive_lattice_points, weight_space_dim
 
 # The largest weight space, in PBW monomials, that shapovalov, scan and
 # validate build; anything larger exits 3.  At the limit sl2 N=1, whose
-# monomials have chi factors, takes 33-43 s and a 230 MiB peak for
-# shapovalov --chi 149 on a 2-core host; every other built-in takes at
-# most 1.0 s at its largest chi under the limit.
+# monomials have chi factors, takes 15-16 s and a 201 MiB peak for
+# shapovalov --chi 149 on a 2-core host (under tracemalloc the module
+# holds 115 MiB of lower-chi matrices and a 61 MiB straightening memo);
+# every other built-in takes at most 1.0 s at its largest chi under the
+# limit.
 MAX_WEIGHT_SPACE = 150
 
 # The largest root listing: the --max-height that check accepts and the
@@ -46,6 +48,12 @@ MAX_WEIGHT_SPACE = 150
 # csv takes 5.2 s and a 165 MiB peak; at the limit the svg takes 1.3 s and
 # 1.3 MB on a 2-core host).
 MAX_ROOT_LISTING = 10_000
+
+# The largest --samples that validate accepts; anything larger exits 3.
+# Time, memory and the worker pool's queue of pending samples all grow
+# linearly with it.  At the limit sl2 N=1 at its default height takes
+# 4.6-5.0 s and a 35 MiB peak (67 MiB with --json) on a 2-core host.
+MAX_SAMPLES = 10_000
 
 
 class InputError(TclaError):
@@ -124,9 +132,9 @@ def _check_at_least(flag: str, value: int, least: int) -> int:
     return value
 
 
-def _check_root_listing(flag: str, value: int) -> int:
-    if _check_at_least(flag, value, 1) > MAX_ROOT_LISTING:
-        raise InputError(f"{flag} must be <= {MAX_ROOT_LISTING}, got {value}")
+def _check_up_to(flag: str, value: int, most: int) -> int:
+    if _check_at_least(flag, value, 1) > most:
+        raise InputError(f"{flag} must be <= {most}, got {value}")
     return value
 
 
@@ -197,7 +205,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     alg, weight = _load_module_args(args)
     base = alg.base
     height = args.max_height if args.max_height is not None else default_scan_height(base)
-    verdict = criterion_reducible(weight, alg, _check_root_listing("--max-height", height))
+    verdict = criterion_reducible(weight, alg, _check_up_to("--max-height", height, MAX_ROOT_LISTING))
     if verdict.reducible:
         labels = ", ".join(root_label(base, w) for w in verdict.witnesses)
         noun = "witness" if len(verdict.witnesses) == 1 else "witnesses"
@@ -261,7 +269,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
 def _cmd_validate(args: argparse.Namespace) -> int:
     base = algebra(args.algebra)
     _check_nilp(args.nilp)
-    _check_at_least("--samples", args.samples, 1)
+    _check_up_to("--samples", args.samples, MAX_SAMPLES)
     height = args.max_height if args.max_height is not None else default_scan_height(base)
     _check_scan_height(_check_at_least("--max-height", height, 1), TruncatedAlgebra(base, args.nilp))
     report = cross_validate(base, args.nilp, args.samples, args.seed, height, _threads())
@@ -272,7 +280,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_figure(args: argparse.Namespace) -> int:
-    _check_root_listing("--m-max", args.m_max)
+    _check_up_to("--m-max", args.m_max, MAX_ROOT_LISTING)
     if args.which == "sl3":
         ls = sl3_hyperplanes()
     else:

@@ -1,13 +1,19 @@
 """Truncated current algebras g (x) k[t]/t^(N+1).
 
 Basis elements are pairs (base element, t-degree); the bracket adds
-degrees and truncates to zero past the nilpotency order N.
+degrees and truncates to zero past the nilpotency order N.  Like the base
+algebra's, ``TruncatedAlgebra.bracket`` answers from a per-instance table
+keyed by the pair: a miss validates both elements, reads [a, b] from the
+base table and stores the result, so only valid pairs are ever stored.
+Every caller shares a stored result, so it is a read-only
+``MappingProxyType`` view.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import NamedTuple
+from types import MappingProxyType
+from typing import Mapping, NamedTuple
 
 from .errors import InvalidAlgebraError, UnknownElementError
 from .lie_core import Algebra, BaseElement
@@ -41,6 +47,7 @@ class TruncatedAlgebra:
         self.base = base
         self.nilp = nilp
         self._checked: set[CurrentElement] = set()
+        self._brackets: dict[tuple[CurrentElement, CurrentElement], Mapping[CurrentElement, Fraction]] = {}
 
     def check(self, x: CurrentElement) -> None:
         """Reject an element outside the algebra.  Elements that pass are
@@ -55,20 +62,28 @@ class TruncatedAlgebra:
             )
         self._checked.add(x)
 
-    def bracket(self, x: CurrentElement, y: CurrentElement) -> dict[CurrentElement, Fraction]:
+    def bracket(self, x: CurrentElement, y: CurrentElement) -> Mapping[CurrentElement, Fraction]:
         """[a (x) t^i, b (x) t^j] = [a, b] (x) t^(i+j), zero when i+j > N,
-        as a fresh dict from basis element to nonzero Fraction.
+        as a read-only view from basis element to nonzero Fraction.
 
-        [a, b] comes from the base algebra's bracket table.  Both elements
-        are checked here too, because a truncated pair never reaches it.
+        Read from the instance's table, keyed by the pair.  A miss checks
+        both elements (a truncated pair never reaches the base algebra's
+        bracket, which would check them too), reads [a, b] from the base
+        table and stores the result; a truncated pair stores an empty view.
+        So only valid pairs are ever stored, and an invalid pair raises on
+        every call.
         """
+        hit = self._brackets.get((x, y))
+        if hit is not None:
+            return hit
         self.check(x)
         self.check(y)
         degree = x.degree + y.degree
-        if degree > self.nilp:
-            return {}
-        base = self.base.bracket(x.elem, y.elem)
-        return {CurrentElement(z, degree): c for z, c in base.items()}
+        terms = {}
+        if degree <= self.nilp:
+            terms = {CurrentElement(z, degree): c for z, c in self.base.bracket(x.elem, y.elem).items()}
+        out = self._brackets[x, y] = MappingProxyType(terms)
+        return out
 
     def __repr__(self) -> str:
         return f"<{self.base.name} (x) k[t]/t^{self.nilp + 1}>"

@@ -22,10 +22,11 @@ A linear combination, here and in the Verma module, is a plain dict from
 key to nonzero Fraction, built with ``add_term`` or with a comprehension
 whose values are known to be nonzero; ``add_scaled`` adds a multiple of
 one sum into another.  Neither does arithmetic that leaves a value as it
-is: a new key takes the caller's value without adding 0, and a multiple
-of 1 takes no product.  The cached results of ``bracket`` are shared by
-every caller, so they are read-only ``MappingProxyType`` views; every
-other function returns a dict that the caller owns.
+is: a new key takes the caller's value without adding 0, and neither a
+multiple of 1 nor a value of 1 takes a product.  The cached results of
+``bracket`` are shared by every caller, so they are read-only
+``MappingProxyType`` views; every other function returns a dict that the
+caller owns.
 
 Built-in conventions
 --------------------
@@ -104,12 +105,13 @@ class Root(NamedTuple):
 
     @property
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
+        return not any(self.coords)
 
     @property
     def is_positive(self) -> bool:
-        """In the positive cone and nonzero."""
-        return not self.is_zero and all(c >= 0 for c in self.coords)
+        """In the positive cone and nonzero (so the empty root is not)."""
+        coords = self.coords
+        return any(coords) and min(coords) >= 0
 
     def fits_within(self, other: "Root") -> bool:
         return all(a <= b for a, b in zip(self.coords, other.coords))
@@ -187,14 +189,15 @@ def add_term(acc: dict, key, c: Fraction) -> None:
 
 
 def add_scaled(acc: dict, terms: Mapping, c: Fraction) -> None:
-    """Add ``c * terms`` into the sparse sum ``acc``; when ``c`` is 1 the
-    values of ``terms`` go in as they are, with no product."""
+    """Add ``c * terms`` into the sparse sum ``acc`` with no product by 1:
+    when ``c`` is 1 the values of ``terms`` go in as they are, and a value
+    of 1 puts ``c`` itself in."""
     if c == 1:
         for key, value in terms.items():
             add_term(acc, key, value)
     else:
         for key, value in terms.items():
-            add_term(acc, key, c * value)
+            add_term(acc, key, c if value == 1 else c * value)
 
 
 class Algebra:

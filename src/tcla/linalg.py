@@ -29,7 +29,7 @@ def determinant(rows: list[list[Fraction]]) -> Fraction:
     for row in rows:
         d = lcm(*(x.denominator for x in row))
         scale *= d
-        m.append([int(x * d) for x in row])
+        m.append([x.numerator * (d // x.denominator) for x in row])
 
     sign = 1
     prev = 1

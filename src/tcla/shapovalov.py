@@ -17,18 +17,21 @@ matrix there:
 So each (row, distinct first factor) pair costs one raising action.  The
 canonical matrices are cached per module (``VermaModule._matrices``, keyed
 by chi) as sparse rows: row i is a dict j -> S[i][j] holding only the
-nonzero entries, and chi = 0 gives [{0: 1}].  A scan over every weight drop
+nonzero entries, each an int when it is integral and a Fraction otherwise,
+and chi = 0 gives [{0: 1}].  A scan over every weight drop
 pays for each smaller matrix once, and a lone chi fills the smaller ones on
 demand.
 
 A row is built by sparse accumulation: for each term (l, c) of the raised
 vector and each nonzero entry s at column t of row l one step down, c * s
 is added at column j if m_j = f0 . m_t.  So the cost follows
-the nonzero products rather than the square of the dimension.  A product
-is left out only when its lower entry is zero, and no entry is assumed zero
-from the t-degree bound below: every stored entry is the exact full sum,
-and ``determinant`` checks the bound against computed values.
-``shapovalov_matrix`` hands out dense copies.
+the nonzero products rather than the square of the dimension.  An integral
+c enters as an int, so most products multiply two ints rather than two
+Fractions.  A product is left out only when its lower entry is zero, and
+no entry is assumed zero from the t-degree bound below: every stored entry
+is the exact full sum, and ``determinant`` checks the bound against
+computed values.  ``shapovalov_matrix`` hands out dense copies whose
+entries are all Fractions.
 
 The determinant uses the t-degree bound of the form.  Write len(m) for
 the number of factors of a monomial and tdeg(m) for the sum of their
@@ -66,8 +69,9 @@ from .weights import Monomial, enumerate_monomials, format_monomial
 _ZERO = Fraction(0)
 
 # A cached canonical matrix: its monomials, monomial -> index, and its rows,
-# each holding only its nonzero entries as column -> value.
-Canonical = tuple[list[Monomial], dict[Monomial, int], list[dict[int, Fraction]]]
+# each holding only its nonzero entries as column -> value (an int when
+# integral).
+Canonical = tuple[list[Monomial], dict[Monomial, int], list[dict[int, int | Fraction]]]
 
 
 class ShapovalovMatrix(NamedTuple):
@@ -113,7 +117,7 @@ def _canonical(module: VermaModule, chi: Root) -> Canonical:
         return hit
     monos = enumerate_monomials(chi, module.alg)
     if chi.is_zero:
-        rows = [{0: Fraction(1)}]
+        rows = [{0: 1}]
     else:
         # Per first factor f0: the matrix one step down, and column j keyed
         # by the index of its tail there.  f0 is a lowering factor, so
@@ -129,15 +133,18 @@ def _canonical(module: VermaModule, chi: Root) -> Canonical:
         rows = []
         for mono in monos:
             descent = module.descend(mono)
-            row: dict[int, Fraction] = {}
+            row: dict[int, int | Fraction] = {}
             for f0, cols in columns.items():
                 _, index, sub = lower[f0]
                 for m, c in ascend(module, (f0,), descent).items():
+                    if c.denominator == 1:
+                        c = c.numerator
                     for tail, s in sub[index[m]].items():
                         j = cols.get(tail)
                         if j is not None:
                             add_term(row, j, c * s)
-            rows.append(row)
+            # A sum of Fractions can be integral too; store it as an int.
+            rows.append({j: s.numerator if s.denominator == 1 else s for j, s in row.items()})
     out = module._matrices[chi] = (monos, {m: k for k, m in enumerate(monos)}, rows)
     return out
 
@@ -146,11 +153,16 @@ def shapovalov_matrix(module: VermaModule, chi: Root) -> ShapovalovMatrix:
     """The matrix of descent/ascent scalars at weight drop chi, indexed by
     the canonical monomial list.
 
-    The result is a dense copy of the module's cached sparse rows.
+    The result is a dense copy of the module's cached sparse rows, with
+    every entry a Fraction.
     """
     monos, _, rows = _canonical(module, chi)
-    order = range(len(monos))
-    entries = [[row.get(j, _ZERO) for j in order] for row in rows]
+    entries = []
+    for row in rows:
+        dense = [_ZERO] * len(monos)
+        for j, s in row.items():
+            dense[j] = Fraction(s) if type(s) is int else s
+        entries.append(dense)
     return ShapovalovMatrix(chi=chi, monomials=list(monos), entries=entries)
 
 

@@ -302,6 +302,22 @@ def test_figure_m_max_past_the_limit_exit_code(capsys):
         assert_input_error(capsys, code)
 
 
+def test_validate_samples_at_the_limit_is_accepted(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "MAX_SAMPLES", 2)
+    argv = ["validate", "--algebra", "sl2", "--nilp", "1", "--seed", "1", "--max-height", "1", "--samples"]
+    assert main(argv + ["2"]) == 0
+    assert "agreements: 2/2\n" in capsys.readouterr().out
+    assert_input_error(capsys, main(argv + ["3"]))
+
+
+def test_validate_samples_past_the_limit_exit_code(capsys, monkeypatch):
+    # Refused before any sample runs.
+    monkeypatch.setattr(cli, "cross_validate", lambda *args: pytest.fail("validate ran past the limit"))
+    code = main(["validate", "--algebra", "sl2", "--nilp", "1", "--samples", str(cli.MAX_SAMPLES + 1),
+                 "--seed", "1", "--max-height", "1"])
+    assert_input_error(capsys, code)
+
+
 def test_bad_thread_count_exit_code(monkeypatch, capsys):
     monkeypatch.setenv("TCLA_THREADS", "abc")
     code = main(["validate", "--algebra", "sl2", "--nilp", "1", "--samples", "2",

@@ -56,6 +56,34 @@ def test_check_rejects_an_invalid_element_on_every_call():
                 alg.check(bad)
 
 
+def test_bracket_is_a_shared_read_only_view():
+    alg = TruncatedAlgebra(algebra("sl3"), 2)
+    x, y = raising(Root((1, 0)), 0), lowering(Root((1, 1)), 1)
+    got = alg.bracket(x, y)
+    assert got == {lowering(Root((0, 1)), 1): -1}
+    assert alg.bracket(x, y) is got
+    with pytest.raises(TypeError):
+        got[x] = 1
+    truncated = alg.bracket(lowering(Root((1, 0)), 2), lowering(Root((0, 1)), 1))
+    assert truncated == {}
+    with pytest.raises(TypeError):
+        truncated[x] = 1
+
+
+def test_bracket_stores_no_invalid_pair():
+    alg = TruncatedAlgebra(algebra("sl3"), 2)
+    good = lowering(Root((1, 0)), 1)
+    alg.bracket(good, good)
+    table = dict(alg._brackets)
+    bad_root = CurrentElement(BaseElement.of_root(Root((2, 1))), 0)
+    bad_degree = lowering(Root((1, 0)), 3)
+    for pair in ((bad_root, good), (good, bad_root), (bad_degree, good), (good, bad_degree)):
+        for _ in range(2):
+            with pytest.raises(UnknownElementError):
+                alg.bracket(*pair)
+    assert alg._brackets == table
+
+
 def test_bracket_examples():
     sl2 = TruncatedAlgebra(algebra("sl2"), 1)
     e, f = raising(ALPHA, 1), lowering(ALPHA, 1)

@@ -110,6 +110,24 @@ def test_sparse_sums_add_no_zero_and_multiply_by_no_one():
     assert acc == {k: Fraction(1, 2), j: Fraction(-10, 3)}
 
 
+def test_a_value_of_one_takes_no_product():
+    k, j, i = (BaseElement.cartan(n) for n in range(3))
+    c = Fraction(2, 3)
+    terms = {k: Fraction(1), j: Fraction(-5), i: Fraction(7, 2)}
+    acc: dict = {}
+    add_scaled(acc, terms, c)
+    assert acc[k] is c
+    assert acc == {key: c * value for key, value in terms.items()}
+
+
+@pytest.mark.parametrize("coords", [(), (0, 0), (1, 0), (0, 1), (1, -1), (-1, 0), (2, 3)])
+def test_root_predicates_match_their_definitions(coords):
+    zero = all(c == 0 for c in coords)
+    root = Root(coords)
+    assert root.is_zero is zero
+    assert root.is_positive is (not zero and all(c >= 0 for c in coords))
+
+
 def test_sl2_bracket_examples():
     e = BaseElement.of_root(ALPHA)
     f = BaseElement.of_root(-ALPHA)

@@ -55,3 +55,35 @@ def test_determinant_singular_via_pivot_search():
     m2 = [[z, Fraction(1)], [Fraction(1), z]]
     assert linalg.determinant(m2) == -1
 
+
+
+def elimination_det(rows):
+    """Independent oracle: dense Fraction Gaussian elimination."""
+    m = [list(row) for row in rows]
+    n, det = len(m), Fraction(1)
+    for k in range(n):
+        pivot = next((i for i in range(k, n) if m[i][k]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != k:
+            m[k], m[pivot] = m[pivot], m[k]
+            det = -det
+        det *= m[k][k]
+        for i in range(k + 1, n):
+            factor = m[i][k] / m[k][k]
+            m[i] = [a - factor * b for a, b in zip(m[i], m[k])]
+    return det
+
+
+def test_determinant_with_huge_numerators_and_mixed_denominators():
+    rng = random.Random("bareiss:huge")
+    for n in (1, 2, 3, 4, 6):
+        for _ in range(5):
+            m = [[Fraction(rng.randint(-2**80, 2**80), rng.choice((1, 2, 3, 7, 2**70 + 1)))
+                  for _ in range(n)] for _ in range(n)]
+            if n > 1:
+                m[0][0] = Fraction(0)  # forces a row swap
+            assert linalg.determinant(m) == elimination_det(m)
+            if n > 1:
+                m[-1] = m[0]
+                assert linalg.determinant(m) == elimination_det(m) == 0

@@ -273,11 +273,24 @@ def test_cache_holds_sparse_rows_and_hands_out_dense_ones(name, nilp):
             mat = shapovalov_matrix(m, chi)
             n = mat.size
             assert len(mat.entries) == n and all(len(row) == n for row in mat.entries)
+            assert all(type(x) is Fraction for row in mat.entries for x in row)
         for monos, index, rows in m._matrices.values():
             assert len(rows) == len(monos) == len(index)
             for row in rows:
                 assert all(value != 0 for value in row.values())
                 assert set(row) <= set(range(len(monos)))
+                assert all(type(value) is (int if value.denominator == 1 else Fraction) for value in row.values())
+
+
+def test_an_integral_weight_caches_only_ints():
+    base = algebra("sl3")
+    alg = TruncatedAlgebra(base, 2)
+    m = VermaModule(alg, WeightFunctional([[3, -2], [1, 4], [-5, 2]]))
+    for chi in positive_lattice_points(2, 3):
+        mat = shapovalov_matrix(m, chi)
+        assert all(type(x) is Fraction for row in mat.entries for x in row)
+    values = [value for _, _, rows in m._matrices.values() for row in rows for value in row.values()]
+    assert values and all(type(value) is int for value in values)
 
 
 def test_shuffled_override_equals_direct_ascents():
