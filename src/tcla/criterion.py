@@ -21,6 +21,7 @@ from __future__ import annotations
 import os
 import random
 from fractions import Fraction
+from sys import intern
 from typing import NamedTuple
 
 from .current import TruncatedAlgebra
@@ -191,17 +192,19 @@ def _run_sample(base: Algebra, nilp: int, seed: int, max_height: int, index: int
     # root lies within its height bound.
     expected_zero = any(w.height <= max_height for w in verdict.witnesses)
     agree = expected_zero == scan.zero_found
+    # The same few root labels recur in every record; interned, the records
+    # a caller keeps share one string per label.
     return {
         "index": index,
         "kind": kind,
         "lambda": [[format_rational(v) for v in level] for level in levels],
         "constructed_witness": list(witness) if witness is not None else None,
         "criterion_reducible": verdict.reducible,
-        "witnesses": [str(w) for w in verdict.witnesses],
+        "witnesses": [intern(str(w)) for w in verdict.witnesses],
         "witnesses_within_height": expected_zero,
         "scan_zero_found": scan.zero_found,
-        "zero_chis": [str(c) for c in scan.zero_chis],
-        "dets": [[str(r.chi), format_rational(r.det)] for r in scan.records],
+        "zero_chis": [intern(str(c)) for c in scan.zero_chis],
+        "dets": [[intern(str(r.chi)), format_rational(r.det)] for r in scan.records],
         "agree": agree,
     }
 

@@ -278,8 +278,10 @@ class Algebra:
         place of y_alpha.
 
         Cached per instance like ``bracket`` (only valid roots are ever
-        stored): the Shapovalov builder asks for the same few roots once
-        per raising action.  A miss reads the coroot, so a root whose
+        stored): every module over the algebra asks for the same few
+        roots, once per lowering factor it raises along, since
+        ``shapovalov.ascend`` keeps each factor's raising element per
+        module.  A miss reads the coroot, so a root whose
         bracket has none is refused here too.  Both caches are created on
         first use because subclasses do not call a common ``__init__``.
         """

@@ -2,11 +2,12 @@
 
 The module's one routine, ``determinant``, is fraction-free (Bareiss)
 elimination on an integer matrix obtained by clearing denominators row by
-row; intermediate values stay integral, which keeps coefficient growth
-polynomial instead of the exponential blow-up of naive rational
-elimination.  It is the per-block kernel of ``shapovalov.determinant``,
-which factors a Shapovalov matrix into t-degree blocks first; on a whole
-matrix it is the oracle the block determinant is tested against.
+row, so its entries may be ints or Fractions; intermediate values stay
+integral, which keeps coefficient growth polynomial instead of the
+exponential blow-up of naive rational elimination.  It is the per-block
+kernel of ``shapovalov.determinant``, which factors a Shapovalov matrix
+into t-degree blocks first; on a whole matrix it is the oracle the block
+determinant is tested against.
 """
 
 from __future__ import annotations
@@ -15,8 +16,9 @@ from fractions import Fraction
 from math import lcm
 
 
-def determinant(rows: list[list[Fraction]]) -> Fraction:
-    """Exact determinant; the 0x0 matrix has determinant 1."""
+def determinant(rows: list[list[int | Fraction]]) -> Fraction:
+    """Exact determinant of int or Fraction entries; the 0x0 matrix has
+    determinant 1."""
     n = len(rows)
     if n == 0:
         return Fraction(1)

@@ -30,8 +30,9 @@ c enters as an int, so most products multiply two ints rather than two
 Fractions.  A product is left out only when its lower entry is zero, and
 no entry is assumed zero from the t-degree bound below: every stored entry
 is the exact full sum, and ``determinant`` checks the bound against
-computed values.  ``shapovalov_matrix`` hands out dense copies whose
-entries are all Fractions.
+computed values.  ``shapovalov_matrix`` hands out copies of the cached
+sparse rows (``ShapovalovMatrix.rows``); its ``entries`` property builds
+the dense view, every entry a Fraction, on demand.
 
 The determinant uses the t-degree bound of the form.  Write len(m) for
 the number of factors of a monomial and tdeg(m) for the sum of their
@@ -49,7 +50,9 @@ monomials of chi onto themselves and each row key onto a column key, so
 both key lists are the same multiset.  Sorted by key, the matrix is block
 lower-triangular with square diagonal blocks, and its determinant is the
 sign of the two sorting permutations times the product of the blocks'
-determinants.  ``determinant`` checks the zero pattern on every call.
+determinants.  ``determinant`` checks the zero pattern against every
+stored entry on every call, and hands each block to the Bareiss step as
+it is stored, ints and Fractions, with no dense Fraction copy between.
 """
 
 from __future__ import annotations
@@ -68,20 +71,34 @@ from .weights import Monomial, enumerate_monomials, format_monomial
 
 _ZERO = Fraction(0)
 
-# A cached canonical matrix: its monomials, monomial -> index, and its rows,
-# each holding only its nonzero entries as column -> value (an int when
-# integral).
-Canonical = tuple[list[Monomial], dict[Monomial, int], list[dict[int, int | Fraction]]]
+# A sparse matrix row: column -> nonzero entry, an int when integral.
+Row = dict[int, int | Fraction]
+
+# A cached canonical matrix: its monomials, monomial -> index, and its rows.
+Canonical = tuple[list[Monomial], dict[Monomial, int], list[Row]]
 
 
 class ShapovalovMatrix(NamedTuple):
+    """The matrix at ``chi`` over ``monomials``, stored as sparse ``rows``."""
+
     chi: Root
     monomials: list[Monomial]
-    entries: list[list[Fraction]]
+    rows: list[Row]
 
     @property
     def size(self) -> int:
         return len(self.monomials)
+
+    @property
+    def entries(self) -> list[list[Fraction]]:
+        """The dense matrix, every entry a Fraction, built on each read."""
+        entries = []
+        for row in self.rows:
+            dense = [_ZERO] * len(self.monomials)
+            for j, s in row.items():
+                dense[j] = Fraction(s)
+            entries.append(dense)
+        return entries
 
 
 def ascend(module: VermaModule, path: Monomial, v: Terms) -> Terms:
@@ -100,10 +117,14 @@ def ascend(module: VermaModule, path: Monomial, v: Terms) -> Terms:
     raise by e_{f0} in the recursion); the full path is the direct
     definition of an entry, which the tests use as the oracle.  The
     result is a fresh dict, except that an empty path returns ``v``.
+    Each factor's raising element is built once per module.
     """
-    base = module.alg.base
+    raising = module._raising
     for f in path:
-        v = module.act(CurrentElement(base.dual_raising(-f.elem.root), f.degree), v)
+        x = raising.get(f)
+        if x is None:
+            x = raising[f] = CurrentElement(module.alg.base.dual_raising(-f.elem.root), f.degree)
+        v = module.act(x, v)
         if not v:
             break
     return v
@@ -133,7 +154,7 @@ def _canonical(module: VermaModule, chi: Root) -> Canonical:
         rows = []
         for mono in monos:
             descent = module.descend(mono)
-            row: dict[int, int | Fraction] = {}
+            row: Row = {}
             for f0, cols in columns.items():
                 _, index, sub = lower[f0]
                 for m, c in ascend(module, (f0,), descent).items():
@@ -153,17 +174,11 @@ def shapovalov_matrix(module: VermaModule, chi: Root) -> ShapovalovMatrix:
     """The matrix of descent/ascent scalars at weight drop chi, indexed by
     the canonical monomial list.
 
-    The result is a dense copy of the module's cached sparse rows, with
-    every entry a Fraction.
+    The result holds copies of the module's cached sparse rows, so the
+    caller may change it.
     """
     monos, _, rows = _canonical(module, chi)
-    entries = []
-    for row in rows:
-        dense = [_ZERO] * len(monos)
-        for j, s in row.items():
-            dense[j] = Fraction(s) if type(s) is int else s
-        entries.append(dense)
-    return ShapovalovMatrix(chi=chi, monomials=list(monos), entries=entries)
+    return ShapovalovMatrix(chi=chi, monomials=list(monos), rows=[dict(row) for row in rows])
 
 
 def _sign(perm: list[int]) -> int:
@@ -193,15 +208,16 @@ def determinant(matrix: ShapovalovMatrix, nilp: int) -> Fraction:
     keys = [row_key[i] for i in rows]
     if keys != [col_key[j] for j in cols]:
         raise InvalidAlgebraError(f"the monomials at chi={matrix.chi} are not closed under degree reversal")
-    ends = [bisect_right(keys, k) for k in dict.fromkeys(keys)]
-    blocks = list(zip([0] + ends, ends))
-    entries = matrix.entries
-    for start, end in blocks:
-        if any(entries[i][j] for i in rows[start:end] for j in cols[end:]):
+    stored = matrix.rows
+    for row, key in zip(stored, row_key):
+        if any(col_key[j] > key for j in row):
             raise InvalidAlgebraError(f"Shapovalov matrix at chi={matrix.chi} breaks the t-degree bound")
+    ends = [bisect_right(keys, k) for k in dict.fromkeys(keys)]
     det = Fraction(_sign(rows) * _sign(cols))
-    for start, end in blocks:
-        det *= linalg.determinant([[entries[i][j] for j in cols[start:end]] for i in rows[start:end]])
+    for start, end in zip([0] + ends, ends):
+        block_cols = cols[start:end]
+        block = [[stored[i].get(j, 0) for j in block_cols] for i in rows[start:end]]
+        det *= linalg.determinant(block)
         if not det:
             break
     return det

@@ -43,8 +43,10 @@ class VermaModule:
         self.weight = weight
         self._memo: dict[tuple[CurrentElement, Monomial], Terms] = {}
         # Canonical Shapovalov matrices by chi as sparse rows (column -> nonzero
-        # entry), filled by shapovalov._canonical.
+        # entry), filled by shapovalov._canonical, and the raising element of
+        # each lowering factor, filled by shapovalov.ascend.
         self._matrices: dict[Root, tuple] = {}
+        self._raising: dict[CurrentElement, CurrentElement] = {}
 
     def highest_weight_vector(self) -> Terms:
         return {(): _ONE}
@@ -55,9 +57,13 @@ class VermaModule:
         """x . v for any generator x, straightened to the PBW basis, as a
         fresh dict that the caller owns.
 
-        A coefficient 1 in ``v`` takes no product, so on ``{mono: 1}`` the
-        result is a copy of the memoised action with no arithmetic."""
+        A coefficient 1 in ``v`` takes no product, and on ``{mono: 1}`` the
+        result is a plain copy of the memoised action."""
         self.alg.check(x)
+        if len(v) == 1:
+            ((mono, coeff),) = v.items()
+            if coeff == 1:
+                return dict(self._act_mono(x, mono))
         out: Terms = {}
         for mono, coeff in v.items():
             add_scaled(out, self._act_mono(x, mono), coeff)

@@ -312,8 +312,9 @@ def reorder(matrix: ShapovalovMatrix, monomials: list) -> ShapovalovMatrix:
     index = {m: k for k, m in enumerate(matrix.monomials)}
     order = [index[m] for m in monomials]
     assert sorted(order) == list(range(matrix.size))
-    entries = [[matrix.entries[a][b] for b in order] for a in order]
-    return ShapovalovMatrix(chi=matrix.chi, monomials=list(monomials), entries=entries)
+    position = {b: k for k, b in enumerate(order)}
+    rows = [{position[b]: s for b, s in matrix.rows[a].items()} for a in order]
+    return ShapovalovMatrix(chi=matrix.chi, monomials=list(monomials), rows=rows)
 
 
 def determinant_law(alg: TruncatedAlgebra, weight: WeightFunctional, chi: Root) -> Fraction:

@@ -17,6 +17,7 @@ from helpers import (
 from tcla import (
     InvalidAlgebraError,
     Root,
+    ShapovalovMatrix,
     TruncatedAlgebra,
     VermaModule,
     WeightFunctional,
@@ -25,6 +26,7 @@ from tcla import (
     enumerate_monomials,
     matrix_to_json,
     positive_lattice_points,
+    scan_reducible,
     shapovalov_matrix,
 )
 from tcla import linalg
@@ -252,12 +254,37 @@ def test_single_chi_on_a_fresh_module():
 def test_returned_matrix_is_a_copy_of_the_cache():
     m = sl2_module()
     first = shapovalov_matrix(m, ALPHA)
-    first.entries[0][0] = 99
-    first.entries[1][1] = 7  # a zero the cache does not store
+    first.rows[0][0] = 99
+    first.rows[1][1] = 7  # a zero the cache does not store
+    del first.rows[1][0]
     first.monomials.reverse()
     again = shapovalov_matrix(m, ALPHA)
+    assert again.rows == [{0: 5, 1: 3}, {0: 3}]
     assert again.entries == [[5, 3], [3, 0]]
     assert again.monomials == enumerate_monomials(ALPHA, m.alg)
+
+
+def test_mutating_an_action_or_a_monomial_list_changes_no_later_call():
+    m = sl2_module()
+    f0, f1 = lowering(ALPHA, 0), lowering(ALPHA, 1)
+    acted = m.act(f0, m.highest_weight_vector())
+    acted[(f0,)] = Fraction(4)
+    acted[(f1,)] = Fraction(1)
+    listed = enumerate_monomials(ALPHA, m.alg)
+    listed.reverse()
+    assert m.act(f0, m.highest_weight_vector()) == {(f0,): 1}
+    assert enumerate_monomials(ALPHA, m.alg) == [(f0,), (f1,)]
+
+
+def test_scan_never_builds_the_dense_view(monkeypatch):
+    def dense(self):
+        raise AssertionError("dense view built")
+
+    monkeypatch.setattr(ShapovalovMatrix, "entries", property(dense))
+    rng = random.Random("scan:sparse")
+    alg = TruncatedAlgebra(algebra("virasoro"), 2)
+    report = scan_reducible(rand_weight(rng, alg.base, 2), alg, 3)
+    assert [r.dimension for r in report.records] == [3, 9, 22]
 
 
 @pytest.mark.parametrize("nilp", (1, 2))
@@ -382,15 +409,15 @@ def test_planted_entry_above_the_block_diagonal_raises():
     mat = shapovalov_matrix(VermaModule(alg, rand_weight(rng, alg.base, 2)), Root((1, 1)))
     # Row f(1,1)@1 against column f(1,1)@2: t-degrees 1 + 2 > N * 1.
     i, j = (mat.monomials.index((lowering(Root((1, 1)), d),)) for d in (1, 2))
-    assert mat.entries[i][j] == 0
-    mat.entries[i][j] = Fraction(1)
+    assert mat.entries[i][j] == 0 and j not in mat.rows[i]
+    mat.rows[i][j] = 1
     with pytest.raises(InvalidAlgebraError, match="t-degree bound"):
         determinant(mat, 2)
 
 
 def test_monomials_not_closed_under_degree_reversal_raise():
     mat = shapovalov_matrix(sl2_module(), ALPHA)  # monomials f@0, f@1
-    del mat.monomials[1], mat.entries[1], mat.entries[0][1]
+    del mat.monomials[1], mat.rows[1], mat.rows[0][1]
     with pytest.raises(InvalidAlgebraError, match="degree reversal"):
         determinant(mat, 1)
 

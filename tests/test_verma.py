@@ -184,6 +184,22 @@ def test_action_is_linear():
         assert m.act(x, lin_sum((a, v), (b, w))) == lin_sum((a, m.act(x, v)), (b, m.act(x, w)))
 
 
+@pytest.mark.parametrize("name", BUILTIN_ALGEBRAS)
+def test_one_term_fast_path_equals_the_general_path(name):
+    # {mono: 1} copies the memo entry; {mono: 2} goes through add_scaled.
+    rng = random.Random("one-term:" + name)
+    base = algebra(name)
+    alg = TruncatedAlgebra(base, 2)
+    weight = rand_weight(rng, base, 2)
+    warm, cold = VermaModule(alg, weight), VermaModule(alg, weight)
+    for _ in range(40):
+        x = rand_generator(rng, alg)
+        for mono in rand_vector(rng, warm):
+            fast = warm.act(x, {mono: Fraction(1)})
+            general = {m: c / 2 for m, c in cold.act(x, {mono: Fraction(2)}).items()}
+            assert fast == general and is_sparse(fast), (x, mono)
+
+
 def test_weight_shape_must_match():
     alg = TruncatedAlgebra(algebra("sl2"), 1)
     with pytest.raises(ValueError):
