@@ -34,8 +34,9 @@ from .weights import WeightFunctional, positive_lattice_points, weight_space_dim
 # The largest weight space, in PBW monomials, that shapovalov, scan and
 # validate build; anything larger exits 3.  At the limit sl2 N=1, whose
 # monomials have chi factors, takes 10-13 s and a 200 MiB peak for
-# shapovalov --chi 149 on a 2-core host (under tracemalloc the module
-# holds 115 MiB of lower-chi matrices and a 61 MiB straightening memo);
+# shapovalov --chi 149 on a 2-core host (under tracemalloc the module and
+# its algebra hold 115 MiB of lower-chi matrices and a 61 MiB
+# straightening memo);
 # every other built-in takes at most 1.0 s at its largest chi under the
 # limit.
 MAX_WEIGHT_SPACE = 150

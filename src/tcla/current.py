@@ -7,6 +7,12 @@ keyed by the pair: a miss validates both elements, reads [a, b] from the
 base table and stores the result, so only valid pairs are ever stored.
 Every caller shares a stored result, so it is a read-only
 ``MappingProxyType`` view.
+
+A ``TruncatedAlgebra`` also holds the other work that does not depend on
+a highest weight, for every Verma module built on it: the PBW monomials
+of each weight drop (``weights.enumerate_monomials``) and the
+straightening memo of each lowering generator (``verma.VermaModule``),
+whose entries only reorder lowering factors and so never read a weight.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
 from .errors import InvalidAlgebraError, UnknownElementError
-from .lie_core import Algebra, BaseElement
+from .lie_core import Algebra, BaseElement, Root
 
 
 class CurrentElement(NamedTuple):
@@ -48,6 +54,11 @@ class TruncatedAlgebra:
         self.nilp = nilp
         self._checked: set[CurrentElement] = set()
         self._brackets: dict[tuple[CurrentElement, CurrentElement], Mapping[CurrentElement, Fraction]] = {}
+        # Weight-free tables that the weights and verma modules fill: chi ->
+        # its monomials, and lowering generator -> monomial -> straightened
+        # product.
+        self._monomials: dict[Root, tuple] = {}
+        self._lowering: dict[CurrentElement, dict] = {}
 
     def check(self, x: CurrentElement) -> None:
         """Reject an element outside the algebra.  Elements that pass are

@@ -24,7 +24,9 @@ demand.
 
 A row is built by sparse accumulation: for each term (l, c) of the raised
 vector and each nonzero entry s at column t of row l one step down, c * s
-is added at column j if m_j = f0 . m_t.  So the cost follows
+is added at column j if m_j = f0 . m_t: a new column stores the product
+itself, so no product is added to 0, and the sums that cancelled are
+dropped when the row is stored.  So the cost follows
 the nonzero products rather than the square of the dimension.  An integral
 c enters as an int, so most products multiply two ints rather than two
 Fractions.  A product is left out only when its lower entry is zero, and
@@ -63,7 +65,7 @@ from typing import NamedTuple
 
 from . import linalg
 from .errors import InvalidAlgebraError
-from .lie_core import Root, add_term
+from .lie_core import Root
 from .current import CurrentElement
 from .rationals import format_rational
 from .verma import Terms, VermaModule
@@ -163,9 +165,11 @@ def _canonical(module: VermaModule, chi: Root) -> Canonical:
                     for tail, s in sub[index[m]].items():
                         j = cols.get(tail)
                         if j is not None:
-                            add_term(row, j, c * s)
-            # A sum of Fractions can be integral too; store it as an int.
-            rows.append({j: s.numerator if s.denominator == 1 else s for j, s in row.items()})
+                            old = row.get(j)
+                            row[j] = c * s if old is None else old + c * s
+            # Drop the sums that cancelled.  A sum of Fractions can be
+            # integral too; store it as an int.
+            rows.append({j: s.numerator if s.denominator == 1 else s for j, s in row.items() if s})
     out = module._matrices[chi] = (monos, {m: k for k, m in enumerate(monos)}, rows)
     return out
 

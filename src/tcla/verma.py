@@ -7,10 +7,15 @@ x . (f0 f1 ... fk) v is rewritten through x f0 = f0 x + [x, f0] until every
 product is a canonically ordered monomial, Cartan generators evaluate
 through the weight functional on v, and raising generators annihilate v.
 
-Single-monomial actions are memoised per module instance (the results
-depend on the highest weight), which makes the repeated sweeps performed
-by the Shapovalov-matrix builder cheap; the module also holds that
-builder's cache of canonical matrices, so both die with it.
+Single-monomial actions are memoised, one table per generator, which
+makes the repeated sweeps performed by the Shapovalov-matrix builder
+cheap.  A lowering generator acting on a monomial only reorders lowering
+factors: no Cartan generator is ever evaluated, so the result does not
+depend on the highest weight, and its table lives on the
+``TruncatedAlgebra`` (``_lowering``), shared by every module built on it.
+The tables of Cartan and raising generators read the weight and stay with
+the module, as does the Shapovalov-matrix builder's cache of canonical
+matrices, so both die with it.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .current import CurrentElement, TruncatedAlgebra
+from .errors import InvalidAlgebraError
 from .lie_core import Root, add_scaled
 from .weights import Monomial, WeightFunctional, factor_key
 
@@ -41,7 +47,9 @@ class VermaModule:
             )
         self.alg = alg
         self.weight = weight
-        self._memo: dict[tuple[CurrentElement, Monomial], Terms] = {}
+        # Generator -> monomial -> x . mono; a lowering generator's table is
+        # the algebra's (see the module docstring).
+        self._memo: dict[CurrentElement, dict[Monomial, Terms]] = {}
         # Canonical Shapovalov matrices by chi as sparse rows (column -> nonzero
         # entry), filled by shapovalov._canonical, and the raising element of
         # each lowering factor, filled by shapovalov.ascend.
@@ -80,12 +88,15 @@ class VermaModule:
     # -- straightening core ----------------------------------------------------
 
     def _act_mono(self, x: CurrentElement, mono: Monomial) -> Terms:
-        key = (x, mono)
-        hit = self._memo.get(key)
+        table = self._memo.get(x)
+        if table is None:
+            table = self._memo[x] = self._new_table(x)
+        hit = table.get(mono)
         if hit is not None:
             return hit
 
         root = x.elem.root
+        lowers = root is not None and not root.is_positive
         if not mono:
             if root is None:
                 lam = self.weight.evaluate_basis(x.elem.index, x.degree)
@@ -94,7 +105,7 @@ class VermaModule:
                 out = {}
             else:
                 out = {(x,): _ONE}
-        elif root is not None and not root.is_positive and factor_key(x) <= factor_key(mono[0]):
+        elif lowers and factor_key(x) <= factor_key(mono[0]):
             out = {(x,) + mono: _ONE}
         else:
             # x f0 rest = f0 (x rest) + [x, f0] rest
@@ -103,8 +114,21 @@ class VermaModule:
             for m2, c2 in self._act_mono(x, rest).items():
                 add_scaled(acc, self._act_mono(f0, m2), c2)
             for z, cz in self.alg.bracket(x, f0).items():
+                if lowers and (z.elem.root is None or z.elem.root.is_positive):
+                    raise InvalidAlgebraError(
+                        f"{self.alg.base.name}: [{x.elem}, {f0.elem}] of two lowering "
+                        f"generators has the term {z.elem}, which is not lowering"
+                    )
                 add_scaled(acc, self._act_mono(z, rest), cz)
             out = acc
 
-        self._memo[key] = out
+        table[mono] = out
         return out
+
+    def _new_table(self, x: CurrentElement) -> dict[Monomial, Terms]:
+        """x's memo table: the algebra's shared one for a lowering x, so its
+        entries must never read the weight, and a fresh one otherwise."""
+        root = x.elem.root
+        if root is not None and not root.is_positive:
+            return self.alg._lowering.setdefault(x, {})
+        return {}

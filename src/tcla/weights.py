@@ -4,7 +4,8 @@ A highest weight for a truncated current algebra is a tuple of functionals
 on the Cartan subalgebra, one per t-degree.  PBW monomials are multisets
 of lowering generators kept in a frozen canonical order; the monomials of
 a fixed total weight drop chi index the corresponding weight space of the
-Verma module.
+Verma module.  They do not depend on the highest weight, so each
+``TruncatedAlgebra`` lists them once per chi, for every module built on it.
 """
 
 from __future__ import annotations
@@ -151,14 +152,21 @@ def weight_space_dimension(chi: Root, alg: TruncatedAlgebra) -> int:
 
 
 def enumerate_monomials(chi: Root, alg: TruncatedAlgebra) -> list[Monomial]:
-    """All PBW monomials of weight chi, in canonical order.
+    """All PBW monomials of weight chi, in canonical order, as a fresh
+    list that the caller owns.
 
     The list's length is the dimension of the Verma-module weight space at
-    (highest weight - chi).  The walk fixes one exponent per generator, in
-    canonical generator order and largest exponent first, so it recurses
-    once per generator rather than once per factor; descending-lex exponent
-    vectors are the lex order on the sorted factor sequences.
+    (highest weight - chi).  It is read from the algebra's table, keyed by
+    chi: a miss validates chi, walks and stores the monomials, so an
+    invalid chi raises on every call and is never stored.  The walk fixes
+    one exponent per generator, in canonical generator order and largest
+    exponent first, so it recurses once per generator rather than once per
+    factor; descending-lex exponent vectors are the lex order on the sorted
+    factor sequences.
     """
+    hit = alg._monomials.get(chi)
+    if hit is not None:
+        return list(hit)
     _check_chi(chi, alg)
     gens = lowering_generators(chi, alg)
     drops = [(-g.elem.root).coords for g in gens]
@@ -182,6 +190,7 @@ def enumerate_monomials(chi: Root, alg: TruncatedAlgebra) -> list[Monomial]:
             del stack[len(stack) - k:]
 
     extend(0, chi.coords)
+    alg._monomials[chi] = tuple(out)
     return out
 
 

@@ -11,10 +11,13 @@ from helpers import (
     determinant_law,
     lin_sum,
     lowering,
+    rand_generator,
+    rand_vector,
     rand_weight,
     reorder,
 )
 from tcla import (
+    BUILTIN_ALGEBRAS,
     InvalidAlgebraError,
     Root,
     ShapovalovMatrix,
@@ -318,6 +321,31 @@ def test_an_integral_weight_caches_only_ints():
         assert all(type(x) is Fraction for row in mat.entries for x in row)
     values = [value for _, _, rows in m._matrices.values() for row in rows for value in row.values()]
     assert values and all(type(value) is int for value in values)
+
+
+@pytest.mark.parametrize("nilp", (1, 2))
+@pytest.mark.parametrize("name", (*BUILTIN_ALGEBRAS, "sp4", "g2"))
+def test_modules_sharing_an_algebra_agree_with_modules_on_fresh_ones(name, nilp):
+    # Two weights on one algebra share its monomial and lowering tables; the
+    # second module starts with the first one's tables warm.
+    rng = random.Random(f"shared:{name}:{nilp}")
+    base = any_algebra(name)
+    height = 2 if name in ("sl4", "sp4", "g2") else 3
+    chis = positive_lattice_points(base.simple_generator_count, height)
+    shared = TruncatedAlgebra(base, nilp)
+
+    def results(alg, weight, probes):
+        m = VermaModule(alg, weight)
+        acts = [m.act(x, v) for x, v in probes]
+        rows = [shapovalov_matrix(m, chi).rows for chi in chis]
+        return acts, rows, scan_reducible(weight, alg, height)
+
+    for weight in (rand_weight(rng, base, nilp), top_zero(rng, base, nilp)):
+        probe_module = VermaModule(TruncatedAlgebra(base, nilp), weight)
+        probes = [(rand_generator(rng, shared), rand_vector(rng, probe_module)) for _ in range(20)]
+        assert results(shared, weight, probes) == results(TruncatedAlgebra(base, nilp), weight, probes)
+    assert shared._lowering
+    assert all(x.elem.root is not None and not x.elem.root.is_positive for x in shared._lowering)
 
 
 def test_shuffled_override_equals_direct_ascents():

@@ -20,12 +20,16 @@ from helpers import (
 )
 from tcla import (
     BUILTIN_ALGEBRAS,
+    BaseElement,
+    CurrentElement,
+    InvalidAlgebraError,
     Root,
     TruncatedAlgebra,
     VermaModule,
     WeightFunctional,
     algebra,
 )
+from tcla.lie_core import MatrixAlgebra
 
 ALPHA = Root((1,))
 
@@ -198,6 +202,20 @@ def test_one_term_fast_path_equals_the_general_path(name):
             fast = warm.act(x, {mono: Fraction(1)})
             general = {m: c / 2 for m, c in cold.act(x, {mono: Fraction(2)}).items()}
             assert fast == general and is_sparse(fast), (x, mono)
+
+
+def test_a_lowering_bracket_with_a_cartan_term_is_refused():
+    # E10 under the name of -alpha and E01 under the name of -2 alpha: their
+    # bracket is a Cartan term, which would put a weight value into the
+    # lowering table that every module on the algebra shares.
+    h, y1, y2 = BaseElement.cartan(0), BaseElement.of_root(-ALPHA), BaseElement.of_root(-2 * ALPHA)
+    bad = MatrixAlgebra("cartan-term", {h: {(0, 0): 1, (1, 1): -1}, y1: {(1, 0): 1}, y2: {(0, 1): 1}})
+    assert bad.bracket(y2, y1) == {h: 1}
+    m = VermaModule(TruncatedAlgebra(bad, 1), WeightFunctional([(5,), (3,)]))
+    x, f = CurrentElement(y2, 0), CurrentElement(y1, 0)
+    for _ in range(2):
+        with pytest.raises(InvalidAlgebraError):
+            m.act(x, {(f,): Fraction(1)})
 
 
 def test_weight_shape_must_match():

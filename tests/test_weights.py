@@ -191,7 +191,24 @@ def test_enumerate_rejects_bad_chi():
     alg = TruncatedAlgebra(algebra("sl3"), 1)
     from tcla import NotARootError
 
-    with pytest.raises(NotARootError):
-        enumerate_monomials(Root((1,)), alg)
-    with pytest.raises(NotARootError):
-        enumerate_monomials(Root((-1, 0)), alg)
+    enumerate_monomials(Root((1, 1)), alg)
+    table = dict(alg._monomials)
+    for _ in range(2):
+        with pytest.raises(NotARootError):
+            enumerate_monomials(Root((1,)), alg)
+        with pytest.raises(NotARootError):
+            enumerate_monomials(Root((-1, 0)), alg)
+    assert alg._monomials == table
+
+
+def test_enumeration_hands_out_a_fresh_list_on_every_call():
+    alg = TruncatedAlgebra(algebra("sl3"), 1)
+    chi = Root((2, 1))
+    first = enumerate_monomials(chi, alg)  # the walk's own list
+    expected = list(first)
+    first.clear()
+    second = enumerate_monomials(chi, alg)  # a copy of the algebra's table
+    assert second == expected
+    second.reverse()
+    assert enumerate_monomials(chi, alg) == expected
+    assert alg._monomials == {chi: tuple(expected)}
