@@ -4,8 +4,9 @@ Subcommands: ``algebras``, ``check``, ``shapovalov``, ``scan``,
 ``validate``, ``figure``.  All numeric output is exact (p/q, never
 decimals).  Exit codes: 0 success, 2 usage error, 3 input-validation
 error (including a weight space past ``MAX_WEIGHT_SPACE``, a ``check``
-height or ``figure`` m-max past ``MAX_ROOT_LISTING`` and a ``validate``
-sample count past ``MAX_SAMPLES``), 4 internal invariant violation.
+height or ``figure`` m-max past ``MAX_ROOT_LISTING``, a ``validate``
+sample count past ``MAX_SAMPLES`` and a closed standard output), 4
+internal invariant violation.
 """
 
 from __future__ import annotations
@@ -191,7 +192,7 @@ def _emit(text: str, out: str) -> None:
 # -- subcommands ----------------------------------------------------------------
 
 
-def _cmd_algebras(_args: argparse.Namespace) -> int:
+def _cmd_algebras(_args: argparse.Namespace) -> None:
     for name in BUILTIN_ALGEBRAS:
         base = algebra(name)
         roots = "finite" if base.finite_roots else "infinite"
@@ -199,10 +200,9 @@ def _cmd_algebras(_args: argparse.Namespace) -> int:
             f"{name}: rank={base.cartan_rank} cartan=[{', '.join(base.cartan_names)}] "
             f"simple_generators={base.simple_generator_count} roots={roots}"
         )
-    return 0
 
 
-def _cmd_check(args: argparse.Namespace) -> int:
+def _cmd_check(args: argparse.Namespace) -> None:
     alg, weight = _load_module_args(args)
     base = alg.base
     height = args.max_height if args.max_height is not None else default_scan_height(base)
@@ -216,10 +216,9 @@ def _cmd_check(args: argparse.Namespace) -> int:
         print(f"REDUCIBLE, {noun} {labels}{suffix}")
     else:
         print("IRREDUCIBLE")
-    return 0
 
 
-def _cmd_shapovalov(args: argparse.Namespace) -> int:
+def _cmd_shapovalov(args: argparse.Namespace) -> None:
     alg, weight = _load_module_args(args)
     chi = _parse_chi(args.chi, alg.base)
     _check_weight_space(chi, alg)
@@ -233,10 +232,9 @@ def _cmd_shapovalov(args: argparse.Namespace) -> int:
     if args.json:
         doc = json.dumps(matrix_to_json(matrix, det), indent=2) + "\n"
         _emit(doc, args.json)
-    return 0
 
 
-def _cmd_scan(args: argparse.Namespace) -> int:
+def _cmd_scan(args: argparse.Namespace) -> None:
     alg, weight = _load_module_args(args)
     height = _check_scan_height(_check_at_least("--max-height", args.max_height, 0), alg)
     report = scan_reducible(weight, alg, height)
@@ -264,10 +262,9 @@ def _cmd_scan(args: argparse.Namespace) -> int:
             indent=2,
         ) + "\n"
         _emit(doc, args.json)
-    return 0
 
 
-def _cmd_validate(args: argparse.Namespace) -> int:
+def _cmd_validate(args: argparse.Namespace) -> None:
     base = algebra(args.algebra)
     _check_nilp(args.nilp)
     _check_up_to("--samples", args.samples, MAX_SAMPLES)
@@ -277,10 +274,9 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     print(report.to_text())
     if args.json:
         _emit(json.dumps(report.to_json(), indent=2) + "\n", args.json)
-    return 0
 
 
-def _cmd_figure(args: argparse.Namespace) -> int:
+def _cmd_figure(args: argparse.Namespace) -> None:
     _check_up_to("--m-max", args.m_max, MAX_ROOT_LISTING)
     if args.which == "sl3":
         ls = sl3_hyperplanes()
@@ -288,7 +284,6 @@ def _cmd_figure(args: argparse.Namespace) -> int:
         ls = virasoro_lines(args.m_max)
     text = render_csv(ls) if args.format == "csv" else render_svg(ls)
     _emit(text, args.out)
-    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -348,13 +343,22 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        if sys.stdout is None:  # started with descriptor 1 closed
+            raise InputError("standard output is closed")
+        args.func(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The interpreter's exit flush of what is still buffered goes nowhere.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: standard output is closed", file=sys.stderr)
+        return 3
     except InvalidAlgebraError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 4
     except TclaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    return 0
 
 
 def entry() -> None:

@@ -29,7 +29,7 @@ from .lie_core import Algebra, Root
 from .rationals import format_rational
 from .shapovalov import determinant, shapovalov_matrix
 from .verma import VermaModule
-from .weights import WeightFunctional, positive_lattice_points
+from .weights import WeightFunctional, check_weight, positive_lattice_points
 
 
 class Verdict(NamedTuple):
@@ -85,8 +85,7 @@ def criterion_reducible(
         max_root_height = default_scan_height(alg.base)
     if max_root_height < 1:
         raise ValueError("max_root_height must be >= 1")
-    if weight.nilp != alg.nilp or weight.cartan_rank != alg.base.cartan_rank:
-        raise ValueError("weight shape does not match the algebra")
+    check_weight(weight, alg)
     top = weight.level(alg.nilp)
     witnesses, scanned = alg.base.coroot_zeros(top, max_root_height)
     return Verdict(witnesses, scanned)

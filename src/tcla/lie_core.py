@@ -326,6 +326,14 @@ class Algebra:
         ]
         return witnesses, bound
 
+    def __getstate__(self) -> dict:
+        """Pickle without the bracket and dual-raising caches: the table's
+        read-only views cannot be pickled, and a copy fills its own."""
+        state = dict(self.__dict__)
+        state.pop("_brackets", None)
+        state.pop("_dual_raising", None)
+        return state
+
     def __repr__(self) -> str:
         return f"<algebra {self.name}>"
 
@@ -501,19 +509,19 @@ class OscillatorAlgebra(_RankOne):
         return [], None
 
 
-BUILTIN_ALGEBRAS = ("sl2", "sl3", "sl4", "virasoro", "oscillator")
+_BUILTINS = {
+    "sl2": lambda: SpecialLinear(2),
+    "sl3": lambda: SpecialLinear(3),
+    "sl4": lambda: SpecialLinear(4),
+    "virasoro": VirasoroAlgebra,
+    "oscillator": OscillatorAlgebra,
+}
+BUILTIN_ALGEBRAS = tuple(_BUILTINS)
 
 
 def algebra(name: str) -> Algebra:
-    """Look up a built-in algebra by its catalog name."""
-    if name == "sl2":
-        return SpecialLinear(2)
-    if name == "sl3":
-        return SpecialLinear(3)
-    if name == "sl4":
-        return SpecialLinear(4)
-    if name == "virasoro":
-        return VirasoroAlgebra()
-    if name == "oscillator":
-        return OscillatorAlgebra()
-    raise UnknownAlgebraError(f"unknown algebra {name!r}; available: {', '.join(BUILTIN_ALGEBRAS)}")
+    """A fresh instance of the built-in algebra with this catalog name."""
+    build = _BUILTINS.get(name)
+    if build is None:
+        raise UnknownAlgebraError(f"unknown algebra {name!r}; available: {', '.join(BUILTIN_ALGEBRAS)}")
+    return build()

@@ -25,7 +25,7 @@ from fractions import Fraction
 from .current import CurrentElement, TruncatedAlgebra
 from .errors import InvalidAlgebraError
 from .lie_core import Root, add_scaled
-from .weights import Monomial, WeightFunctional, factor_key
+from .weights import Monomial, WeightFunctional, check_weight, factor_key
 
 _ONE = Fraction(1)
 
@@ -36,15 +36,7 @@ class VermaModule:
     """Verma module of a truncated current algebra at a fixed highest weight."""
 
     def __init__(self, alg: TruncatedAlgebra, weight: WeightFunctional) -> None:
-        if weight.nilp != alg.nilp:
-            raise ValueError(
-                f"weight has {weight.nilp + 1} levels but the algebra needs {alg.nilp + 1}"
-            )
-        if weight.cartan_rank != alg.base.cartan_rank:
-            raise ValueError(
-                f"weight levels have length {weight.cartan_rank} but the Cartan rank is "
-                f"{alg.base.cartan_rank}"
-            )
+        check_weight(weight, alg)
         self.alg = alg
         self.weight = weight
         # Generator -> monomial -> x . mono; a lowering generator's table is
@@ -99,7 +91,7 @@ class VermaModule:
         lowers = root is not None and not root.is_positive
         if not mono:
             if root is None:
-                lam = self.weight.evaluate_basis(x.elem.index, x.degree)
+                lam = self.weight.level(x.degree)[x.elem.index]
                 out = {(): lam} if lam else {}
             elif root.is_positive:
                 out = {}

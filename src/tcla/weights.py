@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 
 from .current import CurrentElement, TruncatedAlgebra
 from .errors import DegreeError, NotARootError
-from .lie_core import Algebra, BaseElement, CartanVector, Root
+from .lie_core import Algebra, BaseElement, CartanVector, Root, root_order_key
 
 Monomial = tuple[CurrentElement, ...]
 
@@ -57,10 +57,6 @@ class WeightFunctional:
         if len(h) != len(level):
             raise ValueError(f"Cartan vector length {len(h)} != rank {len(level)}")
         return sum((Fraction(c) * v for c, v in zip(h, level)), Fraction(0))
-
-    def evaluate_basis(self, cartan_index: int, degree: int) -> Fraction:
-        """Value on the cartan_index-th Cartan basis vector at t^degree."""
-        return self.level(degree)[cartan_index]
 
     @classmethod
     def from_named(cls, base: Algebra, nilp: int, level_dicts: Sequence[dict]) -> "WeightFunctional":
@@ -131,6 +127,15 @@ def _check_chi(chi: Root, alg: TruncatedAlgebra) -> None:
         raise NotARootError(f"chi must lie in the positive cone, got {chi}")
 
 
+def check_weight(weight: WeightFunctional, alg: TruncatedAlgebra) -> None:
+    """Reject a weight without one level per t-degree over the Cartan basis."""
+    if weight.nilp != alg.nilp:
+        raise ValueError(f"weight has {weight.nilp + 1} levels but the algebra needs {alg.nilp + 1}")
+    if weight.cartan_rank != alg.base.cartan_rank:
+        rank = alg.base.cartan_rank
+        raise ValueError(f"weight levels have length {weight.cartan_rank} but the Cartan rank is {rank}")
+
+
 def weight_space_dimension(chi: Root, alg: TruncatedAlgebra) -> int:
     """``len(enumerate_monomials(chi, alg))`` without enumerating.
 
@@ -196,16 +201,6 @@ def enumerate_monomials(chi: Root, alg: TruncatedAlgebra) -> list[Monomial]:
 
 def positive_lattice_points(generators: int, max_height: int) -> list[Root]:
     """All nonzero chi in the positive cone with height <= max_height, in
-    canonical order (height ascending, coords lex-descending)."""
-    points: list[Root] = []
-
-    def compose(prefix: list[int], left: int, slots: int) -> None:
-        if slots == 1:
-            points.append(Root(tuple(prefix + [left])))
-            return
-        for c in range(left, -1, -1):
-            compose(prefix + [c], left - c, slots - 1)
-
-    for h in range(1, max_height + 1):
-        compose([], h, generators)
-    return points
+    canonical order (``root_order_key``)."""
+    box = product(range(max_height + 1), repeat=generators)
+    return sorted((Root(p) for p in box if 0 < sum(p) <= max_height), key=root_order_key)

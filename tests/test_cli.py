@@ -420,3 +420,45 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+CLOSED_STDOUT_COMMANDS = [
+    ["algebras"],
+    ["check", "--algebra", "sl2", "--nilp", "1", "--lambda", "{lam}"],
+    ["shapovalov", "--algebra", "sl2", "--nilp", "1", "--lambda", "{lam}", "--chi", "3"],
+    ["scan", "--algebra", "sl2", "--nilp", "1", "--lambda", "{lam}", "--max-height", "2"],
+    ["validate", "--algebra", "sl2", "--nilp", "1", "--samples", "2", "--seed", "1"],
+    ["figure", "--which", "sl3", "--format", "svg", "--out", "-"],
+]
+
+
+@pytest.mark.parametrize("argv", CLOSED_STDOUT_COMMANDS, ids=lambda argv: argv[0])
+def test_a_pipe_closed_by_its_reader_exits_3_without_a_traceback(tmp_path, argv):
+    lam = write_weight(tmp_path, SL2_WEIGHT)
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # every write to the pipe now fails with EPIPE
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "tcla", *(a.format(lam=lam) for a in argv)],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 3
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines() == ["error: standard output is closed"]
+
+
+@pytest.mark.parametrize("argv", [["algebras"], ["figure", "--which", "sl3", "--format", "csv", "--out", "-"]])
+def test_a_closed_stdout_descriptor_exits_3(argv):
+    # The shell closes descriptor 1 before the interpreter starts, so
+    # sys.stdout is None.
+    proc = subprocess.run(
+        ["sh", "-c", 'exec "$0" -m tcla "$@" >&-', sys.executable, *argv],
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    assert proc.returncode == 3
+    assert proc.stderr.splitlines() == ["error: standard output is closed"]

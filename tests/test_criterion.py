@@ -2,6 +2,7 @@
 
 import concurrent.futures
 import json
+import multiprocessing
 import random
 from fractions import Fraction
 
@@ -246,6 +247,23 @@ def test_pool_runs_an_algebra_that_cannot_be_pickled(monkeypatch):
     pooled = cross_validate(scaled, 1, 2, 0, 2, workers=2)
     assert pooled.agreements == 2
     assert pooled.to_json() == cross_validate(scaled, 1, 2, 0, 2).to_json()
+
+
+def test_spawned_workers_run_a_warm_algebra(monkeypatch):
+    # Spawn (the macOS default) and forkserver pickle the harness arguments
+    # into each worker, so an algebra whose bracket table is already filled
+    # must pickle.  Two cores make a real pool start.
+    monkeypatch.setattr(criterion.os, "cpu_count", lambda: 2)
+    executor = concurrent.futures.ProcessPoolExecutor
+    spawn = multiprocessing.get_context("spawn")
+    monkeypatch.setattr(
+        concurrent.futures, "ProcessPoolExecutor", lambda **kwargs: executor(mp_context=spawn, **kwargs)
+    )
+    base = algebra("sl3")
+    criterion_reducible(WeightFunctional([(1, 2), (3, 4)]), TruncatedAlgebra(base, 1))
+    assert base._brackets
+    pooled = cross_validate(base, 1, 4, 0, 2, workers=2)
+    assert pooled.to_json() == cross_validate(base, 1, 4, 0, 2).to_json()
 
 
 def test_worker_pool_is_capped_by_samples_and_cores(monkeypatch):

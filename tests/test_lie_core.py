@@ -50,9 +50,27 @@ ALPHA = Root((1,))
 def test_catalog():
     assert BUILTIN_ALGEBRAS == ("sl2", "sl3", "sl4", "virasoro", "oscillator")
     for name in BUILTIN_ALGEBRAS:
-        assert algebra(name).name == name
-    with pytest.raises(UnknownAlgebraError):
+        first, second = algebra(name), algebra(name)
+        # A fresh instance per call, so no table is shared between callers.
+        assert first.name == second.name == name and first is not second
+    with pytest.raises(UnknownAlgebraError) as exc:
         algebra("e8")
+    assert str(exc.value) == "unknown algebra 'e8'; available: sl2, sl3, sl4, virasoro, oscillator"
+
+
+@pytest.mark.parametrize("name", BUILTIN_ALGEBRAS)
+def test_a_warm_algebra_pickles_without_its_caches(name):
+    # A process pool under spawn or forkserver pickles the algebra it hands
+    # each worker; the bracket table holds views that cannot be pickled.
+    base = algebra(name)
+    scan_reducible(WeightFunctional([(1,) * base.cartan_rank] * 2), TruncatedAlgebra(base, 1), 2)
+    table = dict(base._brackets)
+    assert table and base._dual_raising
+    copy = pickle.loads(pickle.dumps(base))
+    assert type(copy) is type(base) and copy.name == name
+    assert "_brackets" not in vars(copy) and "_dual_raising" not in vars(copy)
+    assert {pair: copy.bracket(*pair) for pair in table} == table
+    assert base._brackets == table  # the original keeps its caches
 
 
 def test_value_types_are_tuples_with_vector_roots():

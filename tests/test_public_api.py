@@ -35,6 +35,7 @@ REMOVED_ATTRIBUTES = [
     (tcla.Algebra, "cartan_element"),
     (tcla.Algebra, "root_element"),
     (tcla.Root, "zero"),
+    (WeightFunctional, "evaluate_basis"),
 ]
 
 

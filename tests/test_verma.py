@@ -28,6 +28,7 @@ from tcla import (
     VermaModule,
     WeightFunctional,
     algebra,
+    criterion_reducible,
 )
 from tcla.lie_core import MatrixAlgebra
 
@@ -219,8 +220,13 @@ def test_a_lowering_bracket_with_a_cartan_term_is_refused():
 
 
 def test_weight_shape_must_match():
+    # The module and the criterion refuse a weight with the same check.
     alg = TruncatedAlgebra(algebra("sl2"), 1)
-    with pytest.raises(ValueError):
-        VermaModule(alg, WeightFunctional([(1,), (2,), (3,)]))
-    with pytest.raises(ValueError):
-        VermaModule(alg, WeightFunctional([(1, 2), (3, 4)]))
+    for weight, message in (
+        (WeightFunctional([(1,), (2,), (3,)]), "weight has 3 levels but the algebra needs 2"),
+        (WeightFunctional([(1, 2), (3, 4)]), "weight levels have length 2 but the Cartan rank is 1"),
+    ):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            VermaModule(alg, weight)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            criterion_reducible(weight, alg)

@@ -187,6 +187,21 @@ def test_positive_lattice_points():
     assert positive_lattice_points(1, 0) == []
 
 
+@pytest.mark.parametrize("generators", [1, 2, 3, 4])
+@pytest.mark.parametrize("max_height", range(7))
+def test_positive_lattice_points_are_every_composition_in_canonical_order(generators, max_height):
+    pts = positive_lattice_points(generators, max_height)
+    # The points of height h are the compositions of h into g nonnegative
+    # parts, C(h + g - 1, g - 1) of them.
+    assert len(pts) == sum(math.comb(h + generators - 1, generators - 1) for h in range(1, max_height + 1))
+    assert all(len(p.coords) == generators and min(p.coords) >= 0 for p in pts)
+    assert all(1 <= p.height <= max_height for p in pts)
+    for a, b in zip(pts, pts[1:]):
+        assert a.height <= b.height
+        if a.height == b.height:
+            assert a.coords > b.coords
+
+
 def test_enumerate_rejects_bad_chi():
     alg = TruncatedAlgebra(algebra("sl3"), 1)
     from tcla import NotARootError
