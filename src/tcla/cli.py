@@ -34,12 +34,14 @@ from .weights import WeightFunctional, positive_lattice_points, weight_space_dim
 
 # The largest weight space, in PBW monomials, that shapovalov, scan and
 # validate build; anything larger exits 3.  At the limit sl2 N=1, whose
-# monomials have chi factors, takes 10-13 s and a 200 MiB peak for
-# shapovalov --chi 149 on a 2-core host (under tracemalloc the module and
-# its algebra hold 115 MiB of lower-chi matrices and a 61 MiB
-# straightening memo);
-# every other built-in takes at most 1.0 s at its largest chi under the
-# limit.
+# monomials have chi factors, is the slowest built-in.  At weight levels
+# (5), (3) on a 2-core host, shapovalov --chi 149 takes 8-10 s and a
+# 200 MiB peak (under tracemalloc the module and its algebra hold 113 MiB
+# of lower-chi matrices and a 57 MiB straightening memo), and
+# scan --max-height 149 takes 8.5-9.4 s and a 91 MiB peak, since its
+# matrices keep only the diagonal t-degree blocks (13 MiB beside the same
+# memo).  Every other built-in takes at most 1.0 s at its largest chi
+# under the limit.
 MAX_WEIGHT_SPACE = 150
 
 # The largest root listing: the --max-height that check accepts and the
@@ -222,16 +224,16 @@ def _cmd_shapovalov(args: argparse.Namespace) -> None:
     alg, weight = _load_module_args(args)
     chi = _parse_chi(args.chi, alg.base)
     _check_weight_space(chi, alg)
-    module = VermaModule(alg, weight)
-    matrix = shapovalov_matrix(module, chi)
-    det = determinant(matrix, alg.nilp)
+    # No name keeps the module, so its caches are freed before the rows
+    # are formatted.
+    matrix = shapovalov_matrix(VermaModule(alg, weight), chi)
+    doc = matrix_to_json(matrix, determinant(matrix, alg.nilp))
     print(f"chi={chi} size={matrix.size}")
-    for row in matrix.entries:
-        print("[" + ", ".join(format_rational(x) for x in row) + "]")
-    print(f"det = {format_rational(det)}")
+    for row in doc["entries"]:
+        print("[" + ", ".join(row) + "]")
+    print(f"det = {doc['det']}")
     if args.json:
-        doc = json.dumps(matrix_to_json(matrix, det), indent=2) + "\n"
-        _emit(doc, args.json)
+        _emit(json.dumps(doc, indent=2) + "\n", args.json)
 
 
 def _cmd_scan(args: argparse.Namespace) -> None:

@@ -93,13 +93,18 @@ def criterion_reducible(
 
 def scan_reducible(weight: WeightFunctional, alg: TruncatedAlgebra, max_height: int) -> ScanReport:
     """Exact Shapovalov determinants for every weight drop of height <=
-    max_height, in canonical order."""
+    max_height, in canonical order.
+
+    Each determinant is read from a matrix built only at and above the
+    diagonal blocks of the t-degree order (``shapovalov_matrix`` with
+    ``blocks=True``), since no determinant reads the entries below them.
+    """
     if max_height < 0:
         raise ValueError("max_height must be >= 0")
     module = VermaModule(alg, weight)
     records: list[ScanRecord] = []
     for chi in positive_lattice_points(alg.base.simple_generator_count, max_height):
-        matrix = shapovalov_matrix(module, chi)
+        matrix = shapovalov_matrix(module, chi, blocks=True)
         records.append(ScanRecord(chi=chi, dimension=matrix.size, det=determinant(matrix, alg.nilp)))
     return ScanReport(max_height=max_height, records=records)
 

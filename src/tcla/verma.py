@@ -42,10 +42,10 @@ class VermaModule:
         # Generator -> monomial -> x . mono; a lowering generator's table is
         # the algebra's (see the module docstring).
         self._memo: dict[CurrentElement, dict[Monomial, Terms]] = {}
-        # Canonical Shapovalov matrices by chi as sparse rows (column -> nonzero
-        # entry), filled by shapovalov._canonical, and the raising element of
-        # each lowering factor, filled by shapovalov.ascend.
-        self._matrices: dict[Root, tuple] = {}
+        # Canonical Shapovalov matrices by (chi, blocks) as sparse rows
+        # (column -> nonzero entry), filled by shapovalov._canonical, and the
+        # raising element of each lowering factor, filled by shapovalov.ascend.
+        self._matrices: dict[tuple[Root, bool], tuple] = {}
         self._raising: dict[CurrentElement, CurrentElement] = {}
 
     def highest_weight_vector(self) -> Terms:

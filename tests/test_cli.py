@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from helpers import determinant_law
-from tcla import Root, TruncatedAlgebra, WeightFunctional, algebra
+from tcla import Root, ShapovalovMatrix, TruncatedAlgebra, WeightFunctional, algebra
 from tcla import cli
 from tcla.cli import main
 from tcla.rationals import format_rational
@@ -58,6 +58,24 @@ def test_shapovalov_json_export(tmp_path, capsys):
     assert doc["entries"] == [["5", "3"], ["3", "0"]]
     assert doc["det"] == "-9"
     assert doc["monomials"] == ["f(1)[0]@0", "f(1)[0]@1"]
+
+
+def test_shapovalov_json_builds_the_dense_view_once(tmp_path, capsys, monkeypatch):
+    reads = []
+    dense = ShapovalovMatrix.entries.fget
+    monkeypatch.setattr(ShapovalovMatrix, "entries", property(lambda self: reads.append(1) or dense(self)))
+    lam = write_weight(tmp_path, SL2_WEIGHT)
+    args = ["shapovalov", "--algebra", "sl2", "--nilp", "1", "--lambda", lam, "--chi", "2"]
+    assert main(args) == 0
+    text = capsys.readouterr().out
+    assert main(args + ["--json", "-"]) == 0
+    out = capsys.readouterr().out
+    assert reads == [1, 1]
+    # The matrix rows print from the same strings as the JSON entries.
+    assert out.startswith(text)
+    doc = json.loads(out[len(text):])
+    assert text.splitlines()[1:-1] == ["[" + ", ".join(row) + "]" for row in doc["entries"]]
+    assert text.splitlines()[-1] == f"det = {doc['det']}"
 
 
 def test_shapovalov_at_dimension_108_matches_the_product_law(tmp_path, capsys):

@@ -32,7 +32,7 @@ from tcla import (
     scan_reducible,
     shapovalov_matrix,
 )
-from tcla import linalg
+from tcla import criterion, linalg
 from tcla.shapovalov import determinant
 
 ALPHA = Root((1,))
@@ -461,3 +461,101 @@ def test_block_determinant_equals_the_product_law(name, nilp):
         m = VermaModule(alg, weight)
         for chi in positive_lattice_points(base.simple_generator_count, height):
             assert determinant(shapovalov_matrix(m, chi), nilp) == determinant_law(alg, weight, chi)
+
+
+# -- blocks build ----------------------------------------------------------------
+
+
+def row_key(mono, nilp):
+    return (nilp * len(mono) - sum(f.degree for f in mono), -len(mono))
+
+
+def col_key(mono):
+    return (sum(f.degree for f in mono), -len(mono))
+
+
+def above_blocks(mat, nilp):
+    # The full rows restricted to C(m_j) >= R(m_i), keys written out here
+    # rather than read from the module under test.
+    cols = [col_key(m) for m in mat.monomials]
+    return [
+        {j: s for j, s in row.items() if cols[j] >= row_key(mono, nilp)}
+        for mono, row in zip(mat.monomials, mat.rows)
+    ]
+
+
+def unit_ground_level(rng, base, nilp):
+    levels = [list(level) for level in rand_weight(rng, base, nilp).levels]
+    levels[0] = [Fraction(1)] * base.cartan_rank
+    return WeightFunctional(levels)
+
+
+def blocks_algebra(name):
+    # "rescaled-<name>": the built-in with every lowering vector scaled.
+    if name.startswith("rescaled-"):
+        return RescaledLowering(algebra(name[len("rescaled-"):]), lambda alpha: Fraction(alpha.height + 2, 3))
+    return any_algebra(name)
+
+
+@pytest.mark.parametrize("nilp", (1, 2))
+@pytest.mark.parametrize("name", (*BUILTIN_ALGEBRAS, "sp4", "g2", "rescaled-sl3", "rescaled-virasoro"))
+def test_blocks_build_is_the_full_build_at_and_above_the_diagonal_blocks(name, nilp):
+    rng = random.Random(f"above:{name}:{nilp}")
+    base = blocks_algebra(name)
+    alg = TruncatedAlgebra(base, nilp)
+    height = 2 if name in ("sl4", "sp4", "g2") else 3
+    chis = positive_lattice_points(base.simple_generator_count, height)
+    weights = (rand_weight(rng, base, nilp), rand_weight(rng, base, nilp),
+               top_zero(rng, base, nilp), unit_ground_level(rng, base, nilp))
+    for weight in weights:
+        full_module, blocks_module = VermaModule(alg, weight), VermaModule(alg, weight)
+        full_dets = []
+        for chi in chis:
+            full = shapovalov_matrix(full_module, chi)
+            blocks = shapovalov_matrix(blocks_module, chi, blocks=True)
+            assert blocks.monomials == full.monomials
+            assert blocks.rows == above_blocks(full, nilp)
+            full_dets.append(linalg.determinant(full.entries))
+        assert [r.det for r in scan_reducible(weight, alg, height).records] == full_dets
+
+
+def test_a_scan_stores_no_entry_below_the_diagonal_blocks(monkeypatch):
+    built = []
+
+    def recording(module, chi, **kw):
+        built.append((module, shapovalov_matrix(module, chi, **kw)))
+        return built[-1][1]
+
+    monkeypatch.setattr(criterion, "shapovalov_matrix", recording)
+    rng = random.Random("scan:below")
+    alg = TruncatedAlgebra(algebra("virasoro"), 2)
+    scan_reducible(rand_weight(rng, alg.base, 2), alg, 4)
+    (module,) = {m for m, _ in built}
+    mats = [mat for _, mat in built]
+    cached = [(monos, rows) for monos, _, rows in module._matrices.values()]
+    assert len(mats) == 4 and len(cached) == 5  # chi = 0 is cached too
+    for monos, rows in [(mat.monomials, mat.rows) for mat in mats] + cached:
+        cols = [col_key(m) for m in monos]
+        assert all(cols[j] >= row_key(mono, 2) for mono, row in zip(monos, rows) for j in row)
+    # The largest matrix, dimension 51, stores fewer entries than the full one.
+    full = shapovalov_matrix(module, Root((4,)))
+    assert mats[-1].size == 51 and sum(map(len, mats[-1].rows)) < sum(map(len, full.rows))
+
+
+@pytest.mark.parametrize("blocks_first", (False, True))
+def test_full_and_blocks_requests_on_one_module_equal_those_on_fresh_ones(blocks_first):
+    rng = random.Random(f"kinds:{blocks_first}")
+    for name, nilp, height in (("sl3", 2, 3), ("virasoro", 2, 4)):
+        base = algebra(name)
+        alg = TruncatedAlgebra(base, nilp)
+        weight = rand_weight(rng, base, nilp)
+        chis = positive_lattice_points(base.simple_generator_count, height)
+        m = VermaModule(alg, weight)
+        # The first kind at the last chi fills the smaller matrices of its
+        # kind that it reads; the second kind must not be served from them.
+        order = (True, False) if blocks_first else (False, True)
+        shapovalov_matrix(m, chis[-1], blocks=order[0])
+        for blocks in order[::-1]:
+            for chi in chis:
+                fresh = shapovalov_matrix(VermaModule(alg, weight), chi, blocks=blocks)
+                assert shapovalov_matrix(m, chi, blocks=blocks) == fresh
