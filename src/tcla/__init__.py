@@ -16,14 +16,7 @@ from .criterion import (
     scan_reducible,
 )
 from .current import CurrentElement, TruncatedAlgebra
-from .errors import (
-    DegreeError,
-    InvalidAlgebraError,
-    NotARootError,
-    TclaError,
-    UnknownAlgebraError,
-    UnknownElementError,
-)
+from .errors import InputError, InvalidAlgebraError, TclaError
 from .figures import LineSet, render_csv, render_svg, sl3_hyperplanes, virasoro_lines
 from .lie_core import (
     BUILTIN_ALGEBRAS,
@@ -52,11 +45,10 @@ __all__ = [
     "BaseElement",
     "BUILTIN_ALGEBRAS",
     "CurrentElement",
-    "DegreeError",
+    "InputError",
     "InvalidAlgebraError",
     "LineSet",
     "Monomial",
-    "NotARootError",
     "OscillatorAlgebra",
     "Root",
     "ScanReport",
@@ -64,8 +56,6 @@ __all__ = [
     "SpecialLinear",
     "TclaError",
     "TruncatedAlgebra",
-    "UnknownAlgebraError",
-    "UnknownElementError",
     "ValidationReport",
     "Verdict",
     "VermaModule",

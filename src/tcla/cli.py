@@ -2,11 +2,17 @@
 
 Subcommands: ``algebras``, ``check``, ``shapovalov``, ``scan``,
 ``validate``, ``figure``.  All numeric output is exact (p/q, never
-decimals).  Exit codes: 0 success, 2 usage error, 3 input-validation
-error (including a weight space past ``MAX_WEIGHT_SPACE``, a ``check``
-height or ``figure`` m-max past ``MAX_ROOT_LISTING``, a ``validate``
-sample count past ``MAX_SAMPLES`` and a closed standard output), 4
+decimals).  Exit codes: 0 success, 2 usage error, 3 bad input, 4
 internal invariant violation.
+
+The CLI parses its flags and files, then leaves each rule to the library
+call that states it, which raises ``InputError`` (exit 3) on bad input
+and ``InvalidAlgebraError`` (exit 4) on a defect in an algebra's data.
+It adds only its own limits, which also exit 3: a weight space past
+``MAX_WEIGHT_SPACE``, a ``check`` height or ``figure`` m-max past
+``MAX_ROOT_LISTING``, a ``validate`` sample count past ``MAX_SAMPLES``,
+the ``--max-height`` floors that its weight-space gate needs, a bad
+``TCLA_THREADS`` and an output it cannot write.
 """
 
 from __future__ import annotations
@@ -24,13 +30,13 @@ from .criterion import (
     scan_reducible,
 )
 from .current import TruncatedAlgebra
-from .errors import InvalidAlgebraError, TclaError
+from .errors import InputError, InvalidAlgebraError, TclaError
 from .figures import render_csv, render_svg, sl3_hyperplanes, virasoro_lines
 from .lie_core import BUILTIN_ALGEBRAS, Algebra, Root, algebra, root_label
 from .rationals import format_rational, parse_rational
 from .shapovalov import determinant, matrix_to_json, shapovalov_matrix
 from .verma import VermaModule
-from .weights import WeightFunctional, positive_lattice_points, weight_space_dimension
+from .weights import WeightFunctional, check_chi, positive_lattice_points, weight_space_dimension
 
 # The largest weight space, in PBW monomials, that shapovalov, scan and
 # validate build; anything larger exits 3.  At the limit sl2 N=1, whose
@@ -60,10 +66,6 @@ MAX_ROOT_LISTING = 10_000
 MAX_SAMPLES = 10_000
 
 
-class InputError(TclaError):
-    """Bad user input (file contents, flag values)."""
-
-
 def _load_weight(path: str, base: Algebra, nilp: int) -> WeightFunctional:
     try:
         with open(path, encoding="utf-8") as handle:
@@ -85,48 +87,36 @@ def _load_weight(path: str, base: Algebra, nilp: int) -> WeightFunctional:
         for name, value in level.items():
             try:
                 row[name] = parse_rational(str(value))
-            except ValueError as exc:
+            except InputError as exc:
                 raise InputError(f"level {i}, {name}: {exc}") from exc
         parsed.append(row)
-    try:
-        return WeightFunctional.from_named(base, nilp, parsed)
-    except ValueError as exc:
-        raise InputError(f"weight file {path}: {exc}") from exc
+    return WeightFunctional.from_named(base, nilp, parsed)
 
 
 def _parse_int(text: str) -> int:
     """An optional sign and digits, the integer rule of a weight file;
-    ``int`` alone would also read "1_0" as 10."""
+    ``int`` alone would also read "1_0" as 10.  Digits past the
+    interpreter's limit raise ``ValueError`` from ``int``."""
     if not (text[1:] if text[:1] in "+-" else text).isdecimal():
-        raise ValueError(f"not an integer: {text!r}")
+        raise InputError(f"not an integer: {text!r}")
     return int(text)
 
 
 def _parse_chi(text: str, base: Algebra) -> Root:
+    """The --chi text as a weight drop of ``base``, checked here by
+    ``check_chi`` so that no size gate refuses a chi that is not one."""
     parts = [p.strip() for p in text.split(",")]
     try:
-        coords = tuple(_parse_int(p) for p in parts)
+        chi = Root(tuple(_parse_int(p) for p in parts))
     except ValueError as exc:
         raise InputError(f"chi must be comma-separated integers, got {text!r}") from exc
-    if len(coords) != base.simple_generator_count:
-        raise InputError(
-            f"chi has {len(coords)} coordinates but {base.name} has "
-            f"{base.simple_generator_count} simple generator(s)"
-        )
-    if any(c < 0 for c in coords):
-        raise InputError(f"chi coordinates must be nonnegative, got {text!r}")
-    return Root(coords)
-
-
-def _check_nilp(nilp: int) -> int:
-    if nilp < 1:
-        raise InputError("nilp must be >= 1 (order 0 is the untruncated base algebra)")
-    return nilp
+    check_chi(chi, base)
+    return chi
 
 
 def _load_module_args(args: argparse.Namespace) -> tuple[TruncatedAlgebra, WeightFunctional]:
     """The truncated algebra and the weight named by --algebra, --nilp and --lambda."""
-    alg = TruncatedAlgebra(algebra(args.algebra), _check_nilp(args.nilp))
+    alg = TruncatedAlgebra(algebra(args.algebra), args.nilp)
     return alg, _load_weight(args.lambda_file, alg.base, alg.nilp)
 
 
@@ -267,11 +257,11 @@ def _cmd_scan(args: argparse.Namespace) -> None:
 
 
 def _cmd_validate(args: argparse.Namespace) -> None:
-    base = algebra(args.algebra)
-    _check_nilp(args.nilp)
+    alg = TruncatedAlgebra(algebra(args.algebra), args.nilp)
+    base = alg.base
     _check_up_to("--samples", args.samples, MAX_SAMPLES)
     height = args.max_height if args.max_height is not None else default_scan_height(base)
-    _check_scan_height(_check_at_least("--max-height", height, 1), TruncatedAlgebra(base, args.nilp))
+    _check_scan_height(_check_at_least("--max-height", height, 1), alg)
     report = cross_validate(base, args.nilp, args.samples, args.seed, height, _threads())
     print(report.to_text())
     if args.json:

@@ -25,6 +25,7 @@ from sys import intern
 from typing import NamedTuple
 
 from .current import TruncatedAlgebra
+from .errors import InputError
 from .lie_core import Algebra, Root
 from .rationals import format_rational
 from .shapovalov import determinant, shapovalov_matrix
@@ -84,7 +85,7 @@ def criterion_reducible(
     if max_root_height is None:
         max_root_height = default_scan_height(alg.base)
     if max_root_height < 1:
-        raise ValueError("max_root_height must be >= 1")
+        raise InputError("max_root_height must be >= 1")
     check_weight(weight, alg)
     top = weight.level(alg.nilp)
     witnesses, scanned = alg.base.coroot_zeros(top, max_root_height)
@@ -100,7 +101,7 @@ def scan_reducible(weight: WeightFunctional, alg: TruncatedAlgebra, max_height: 
     ``blocks=True``), since no determinant reads the entries below them.
     """
     if max_height < 0:
-        raise ValueError("max_height must be >= 0")
+        raise InputError("max_height must be >= 0")
     module = VermaModule(alg, weight)
     records: list[ScanRecord] = []
     for chi in positive_lattice_points(alg.base.simple_generator_count, max_height):
@@ -248,11 +249,11 @@ def cross_validate(
     and under spawn or forkserver they are pickled once per worker.
     """
     if samples < 1:
-        raise ValueError("samples must be >= 1")
+        raise InputError("samples must be >= 1")
     if max_height is None:
         max_height = default_scan_height(base)
     if max_height < 1:
-        raise ValueError("max_height must be >= 1")
+        raise InputError("max_height must be >= 1")
     harness = (base, nilp, seed, max_height)
     workers = min(workers, samples, os.cpu_count() or 1)
     if workers > 1:

@@ -21,7 +21,7 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
-from .errors import InvalidAlgebraError, UnknownElementError
+from .errors import InputError
 from .lie_core import Algebra, BaseElement, Root
 
 
@@ -46,7 +46,7 @@ class TruncatedAlgebra:
 
     def __init__(self, base: Algebra, nilp: int) -> None:
         if nilp < 1:
-            raise InvalidAlgebraError(
+            raise InputError(
                 "nilpotency order must be >= 1: order 0 is the plain base algebra, "
                 "which this library's reducibility criterion does not cover"
             )
@@ -68,7 +68,7 @@ class TruncatedAlgebra:
             return
         self.base.check_element(x.elem)
         if not 0 <= x.degree <= self.nilp:
-            raise UnknownElementError(
+            raise InputError(
                 f"t-degree {x.degree} out of range 0..{self.nilp} for {self.base.name}"
             )
         self._checked.add(x)

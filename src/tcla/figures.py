@@ -13,6 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
+from .errors import InputError
 from .lie_core import Algebra, Root, algebra, root_label
 from .rationals import format_rational
 
@@ -33,9 +34,9 @@ class LineSet(NamedTuple):
 def _check(ls: LineSet) -> None:
     labels = [label for label, _ in ls.lines]
     if len(set(labels)) != len(labels):
-        raise ValueError("line labels must be unique")
+        raise InputError("line labels must be unique")
     if any(n1 == 0 and n2 == 0 for _, (n1, n2) in ls.lines):
-        raise ValueError("line normals must be nonzero")
+        raise InputError("line normals must be nonzero")
 
 
 def _loci(base: Algebra, roots: list[Root], axes: tuple[str, str]) -> LineSet:
@@ -59,7 +60,7 @@ def virasoro_lines(m_max: int) -> LineSet:
     """The Virasoro loci 2m y + (m^3 - m)/12 x = 0 for m = 1..m_max, in
     coordinates (value on c, value on L0).  m and -m give the same line."""
     if m_max < 1:
-        raise ValueError("m_max must be >= 1")
+        raise InputError("m_max must be >= 1")
     vir = algebra("virasoro")
     return _loci(vir, vir.positive_roots(m_max), ("c", "L0"))
 

@@ -78,12 +78,7 @@ from math import isqrt
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
-from .errors import (
-    InvalidAlgebraError,
-    NotARootError,
-    UnknownAlgebraError,
-    UnknownElementError,
-)
+from .errors import InputError, InvalidAlgebraError
 
 CartanVector = tuple[Fraction, ...]
 
@@ -239,19 +234,19 @@ class Algebra:
 
     def check_positive_root(self, alpha: Root) -> None:
         if len(alpha.coords) != self.simple_generator_count:
-            raise NotARootError(f"{self.name}: root arity {len(alpha.coords)} != {self.simple_generator_count}")
+            raise InputError(f"{self.name}: root arity {len(alpha.coords)} != {self.simple_generator_count}")
         if not alpha.is_positive or not self.is_root(alpha):
-            raise NotARootError(f"{self.name}: {alpha} is not a positive root")
+            raise InputError(f"{self.name}: {alpha} is not a positive root")
 
     def check_element(self, x: BaseElement) -> None:
         if x.root is None:
             if not 0 <= x.index < self.cartan_rank:
-                raise UnknownElementError(f"{self.name}: Cartan index {x.index} out of range")
+                raise InputError(f"{self.name}: Cartan index {x.index} out of range")
             return
         if len(x.root.coords) != self.simple_generator_count or not self.is_root(x.root):
-            raise UnknownElementError(f"{self.name}: {x.root} is not a root")
+            raise InputError(f"{self.name}: {x.root} is not a root")
         if x.index:
-            raise UnknownElementError(f"{self.name}: root vector {x.root} has index {x.index}, not 0")
+            raise InputError(f"{self.name}: root vector {x.root} has index {x.index}, not 0")
 
     def bracket(self, x: BaseElement, y: BaseElement) -> Mapping[BaseElement, Fraction]:
         """[x, y] of two basis elements, as a map from basis element to
@@ -409,7 +404,7 @@ class SpecialLinear(MatrixAlgebra):
 
     def __init__(self, n: int) -> None:
         if n < 2:
-            raise ValueError("sl(n) needs n >= 2")
+            raise InputError("sl(n) needs n >= 2")
         units = {BaseElement.cartan(k): {(k, k): 1, (k + 1, k + 1): -1} for k in range(n - 1)}
         for i in range(n):
             for j in range(i + 1, n):
@@ -429,7 +424,7 @@ class _RankOne(Algebra):
 
     def positive_roots(self, max_height: int | None = None) -> list[Root]:
         if max_height is None:
-            raise ValueError(f"{self.name} has infinitely many positive roots; give a height bound")
+            raise InputError(f"{self.name} has infinitely many positive roots; give a height bound")
         return [Root((m,)) for m in range(1, max_height + 1)]
 
     def is_root(self, root: Root) -> bool:
@@ -523,5 +518,5 @@ def algebra(name: str) -> Algebra:
     """A fresh instance of the built-in algebra with this catalog name."""
     build = _BUILTINS.get(name)
     if build is None:
-        raise UnknownAlgebraError(f"unknown algebra {name!r}; available: {', '.join(BUILTIN_ALGEBRAS)}")
+        raise InputError(f"unknown algebra {name!r}; available: {', '.join(BUILTIN_ALGEBRAS)}")
     return build()

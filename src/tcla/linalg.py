@@ -15,6 +15,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
+from .errors import InputError
+
 
 def determinant(rows: list[list[int | Fraction]]) -> Fraction:
     """Exact determinant of int or Fraction entries; the 0x0 matrix has
@@ -23,7 +25,7 @@ def determinant(rows: list[list[int | Fraction]]) -> Fraction:
     if n == 0:
         return Fraction(1)
     if any(len(r) != n for r in rows):
-        raise ValueError("determinant of a non-square matrix")
+        raise InputError("determinant of a non-square matrix")
 
     # Clear denominators: row i scaled by the lcm of its denominators.
     scale = 1

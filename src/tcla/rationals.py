@@ -11,6 +11,8 @@ import re
 from decimal import Decimal
 from fractions import Fraction
 
+from .errors import InputError
+
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
 
 
@@ -22,8 +24,11 @@ def parse_rational(text: str) -> Fraction:
     """
     text = text.strip()
     if not _RATIONAL_RE.match(text):
-        raise ValueError(f"not an exact rational (expected p or p/q): {text!r}")
-    return Fraction(text)
+        raise InputError(f"not an exact rational (expected p or p/q): {text!r}")
+    try:
+        return Fraction(text)
+    except ValueError as exc:  # digits past the interpreter's int limit
+        raise InputError(str(exc)) from exc
 
 
 def format_rational(x: Fraction) -> str:

@@ -16,7 +16,7 @@ from math import prod
 from typing import Iterable, Sequence
 
 from .current import CurrentElement, TruncatedAlgebra
-from .errors import DegreeError, NotARootError
+from .errors import InputError
 from .lie_core import Algebra, BaseElement, CartanVector, Root, root_order_key
 
 Monomial = tuple[CurrentElement, ...]
@@ -33,10 +33,10 @@ class WeightFunctional:
             tuple(Fraction(v) for v in level) for level in levels
         )
         if not self.levels:
-            raise ValueError("a weight functional needs at least one level")
+            raise InputError("a weight functional needs at least one level")
         rank = len(self.levels[0])
         if any(len(level) != rank for level in self.levels):
-            raise ValueError("all levels of a weight functional must have equal length")
+            raise InputError("all levels of a weight functional must have equal length")
 
     @property
     def nilp(self) -> int:
@@ -48,35 +48,25 @@ class WeightFunctional:
 
     def level(self, i: int) -> CartanVector:
         if not 0 <= i <= self.nilp:
-            raise DegreeError(f"level {i} out of range 0..{self.nilp}")
+            raise InputError(f"level {i} out of range 0..{self.nilp}")
         return self.levels[i]
-
-    def evaluate(self, h: Sequence[Fraction], degree: int) -> Fraction:
-        """Value on h (x) t^degree, h given over the Cartan basis."""
-        level = self.level(degree)
-        if len(h) != len(level):
-            raise ValueError(f"Cartan vector length {len(h)} != rank {len(level)}")
-        return sum((Fraction(c) * v for c, v in zip(h, level)), Fraction(0))
 
     @classmethod
     def from_named(cls, base: Algebra, nilp: int, level_dicts: Sequence[dict]) -> "WeightFunctional":
         """Build from per-level {cartan_name: rational} dicts; missing names
         default to zero, unknown names are rejected."""
         if len(level_dicts) != nilp + 1:
-            raise ValueError(f"expected {nilp + 1} levels, got {len(level_dicts)}")
+            raise InputError(f"expected {nilp + 1} levels, got {len(level_dicts)}")
         levels = []
         for i, d in enumerate(level_dicts):
             unknown = set(d) - set(base.cartan_names)
             if unknown:
-                raise ValueError(
+                raise InputError(
                     f"level {i}: unknown Cartan name(s) {sorted(unknown)}; "
                     f"expected among {list(base.cartan_names)}"
                 )
             levels.append([Fraction(d.get(name, 0)) for name in base.cartan_names])
         return cls(levels)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, WeightFunctional) and self.levels == other.levels
 
     def __repr__(self) -> str:
         return f"WeightFunctional({[tuple(map(str, l)) for l in self.levels]})"
@@ -118,22 +108,25 @@ def lowering_generators(chi: Root, alg: TruncatedAlgebra) -> list[CurrentElement
     return gens
 
 
-def _check_chi(chi: Root, alg: TruncatedAlgebra) -> None:
-    if len(chi.coords) != alg.base.simple_generator_count:
-        raise NotARootError(
-            f"chi arity {len(chi.coords)} != {alg.base.simple_generator_count}"
+def check_chi(chi: Root, base: Algebra) -> None:
+    """Reject a weight drop that is not a point of the positive cone of
+    ``base``'s root lattice (zero included)."""
+    count = base.simple_generator_count
+    if len(chi.coords) != count:
+        raise InputError(
+            f"chi has {len(chi.coords)} coordinates but {base.name} has {count} simple generator(s)"
         )
     if any(c < 0 for c in chi.coords):
-        raise NotARootError(f"chi must lie in the positive cone, got {chi}")
+        raise InputError(f"chi coordinates must be nonnegative, got {chi}")
 
 
 def check_weight(weight: WeightFunctional, alg: TruncatedAlgebra) -> None:
     """Reject a weight without one level per t-degree over the Cartan basis."""
     if weight.nilp != alg.nilp:
-        raise ValueError(f"weight has {weight.nilp + 1} levels but the algebra needs {alg.nilp + 1}")
+        raise InputError(f"weight has {weight.nilp + 1} levels but the algebra needs {alg.nilp + 1}")
     if weight.cartan_rank != alg.base.cartan_rank:
         rank = alg.base.cartan_rank
-        raise ValueError(f"weight levels have length {weight.cartan_rank} but the Cartan rank is {rank}")
+        raise InputError(f"weight levels have length {weight.cartan_rank} but the Cartan rank is {rank}")
 
 
 def weight_space_dimension(chi: Root, alg: TruncatedAlgebra) -> int:
@@ -143,7 +136,7 @@ def weight_space_dimension(chi: Root, alg: TruncatedAlgebra) -> int:
     count: the ways to make chi from the generators' drops, tallied over the
     box of points between 0 and chi.
     """
-    _check_chi(chi, alg)
+    check_chi(chi, alg.base)
     points = list(product(*(range(c + 1) for c in chi.coords)))
     strides = [prod(c + 1 for c in chi.coords[k + 1:]) for k in range(len(chi.coords))]
     ways = [1] + [0] * (len(points) - 1)
@@ -172,7 +165,7 @@ def enumerate_monomials(chi: Root, alg: TruncatedAlgebra) -> list[Monomial]:
     hit = alg._monomials.get(chi)
     if hit is not None:
         return list(hit)
-    _check_chi(chi, alg)
+    check_chi(chi, alg.base)
     gens = lowering_generators(chi, alg)
     drops = [(-g.elem.root).coords for g in gens]
     out: list[Monomial] = []

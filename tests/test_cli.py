@@ -214,6 +214,15 @@ def test_chi_arity_exit_code(tmp_path, capsys):
     assert "coordinates" in capsys.readouterr().err
 
 
+def test_negative_chi_is_refused_for_its_sign(tmp_path, capsys):
+    # The box of (-200,-200) holds 39,601 points, past the weight-space
+    # limit; the sign rule must answer first.
+    lam = write_weight(tmp_path, {"levels": [{}, {}]})
+    code = main(["shapovalov", "--algebra", "sl3", "--nilp", "1", "--lambda", lam, "--chi=-200,-200"])
+    assert code == 3
+    assert capsys.readouterr().err == "error: chi coordinates must be nonnegative, got (-200,-200)\n"
+
+
 @pytest.mark.parametrize("chi", ["1_0", "+1_0"])
 def test_chi_takes_a_sign_and_digits_only(tmp_path, capsys, chi):
     # int() alone reads Python's digit grouping "1_0" as 10

@@ -8,10 +8,9 @@ from helpers import cartan, lin_sum, lowering, raising, rand_generator
 from tcla import (
     BaseElement,
     CurrentElement,
-    InvalidAlgebraError,
+    InputError,
     Root,
     TruncatedAlgebra,
-    UnknownElementError,
     algebra,
 )
 
@@ -19,18 +18,19 @@ ALPHA = Root((1,))
 
 
 def test_nilp_must_be_positive():
-    with pytest.raises(InvalidAlgebraError, match="order 0"):
+    with pytest.raises(InputError, match="order 0"):
         TruncatedAlgebra(algebra("sl2"), 0)
-    with pytest.raises(InvalidAlgebraError):
+    with pytest.raises(InputError, match="^nilpotency order must be >= 1"):
         TruncatedAlgebra(algebra("virasoro"), -1)
 
 
 def test_degree_out_of_range_is_rejected():
     alg = TruncatedAlgebra(algebra("sl2"), 1)
     bad = CurrentElement(BaseElement.cartan(0), 2)
-    with pytest.raises(UnknownElementError, match="degree"):
+    message = r"^t-degree 2 out of range 0\.\.1 for sl2$"
+    with pytest.raises(InputError, match=message):
         alg.check(bad)
-    with pytest.raises(UnknownElementError):
+    with pytest.raises(InputError, match=message):
         alg.bracket(bad, bad)
 
 
@@ -50,9 +50,9 @@ def test_check_rejects_an_invalid_element_on_every_call():
     alg = TruncatedAlgebra(algebra("sl3"), 2)
     bad_root = CurrentElement(BaseElement.of_root(Root((2, 1))), 0)
     bad_degree = lowering(Root((1, 0)), 3)
-    for bad in (bad_root, bad_degree):
+    for bad, message in ((bad_root, r"^sl3: \(2,1\) is not a root$"), (bad_degree, "^t-degree 3 out of range")):
         for _ in range(2):
-            with pytest.raises(UnknownElementError):
+            with pytest.raises(InputError, match=message):
                 alg.check(bad)
 
 
@@ -77,9 +77,15 @@ def test_bracket_stores_no_invalid_pair():
     table = dict(alg._brackets)
     bad_root = CurrentElement(BaseElement.of_root(Root((2, 1))), 0)
     bad_degree = lowering(Root((1, 0)), 3)
-    for pair in ((bad_root, good), (good, bad_root), (bad_degree, good), (good, bad_degree)):
+    root_message, degree_message = r"^sl3: \(2,1\) is not a root$", "^t-degree 3 out of range"
+    for pair, message in (
+        ((bad_root, good), root_message),
+        ((good, bad_root), root_message),
+        ((bad_degree, good), degree_message),
+        ((good, bad_degree), degree_message),
+    ):
         for _ in range(2):
-            with pytest.raises(UnknownElementError):
+            with pytest.raises(InputError, match=message):
                 alg.bracket(*pair)
     assert alg._brackets == table
 

@@ -9,8 +9,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from tcla import Root, WeightFunctional, algebra
-from tcla.cli import InputError, _load_weight, _parse_chi
+from tcla import InputError, Root, WeightFunctional, algebra
+from tcla.cli import _load_weight, _parse_chi
 
 SL2 = algebra("sl2")
 VIR = algebra("virasoro")

@@ -7,6 +7,7 @@ from tcla import TruncatedAlgebra, VermaModule, WeightFunctional, lie_core, lina
 REMOVED_EXPORTS = (
     "VermaVector", "canonical_monomial", "enumerate_positive_roots", "render", "Rat", "shapovalov_determinant",
     "RescaledLowering", "LinComb", "monomial_weight",
+    "NotARootError", "UnknownElementError", "UnknownAlgebraError", "DegreeError",
 )
 REMOVED_ATTRIBUTES = [
     (tcla.Algebra, "element_label"),
@@ -36,6 +37,8 @@ REMOVED_ATTRIBUTES = [
     (tcla.Algebra, "root_element"),
     (tcla.Root, "zero"),
     (WeightFunctional, "evaluate_basis"),
+    (WeightFunctional, "evaluate"),
+    (WeightFunctional, "__eq__"),
 ]
 
 
@@ -52,4 +55,7 @@ def test_removed_names_stay_removed():
         assert name not in tcla.__all__
         assert not hasattr(tcla, name), name
     for owner, name in REMOVED_ATTRIBUTES:
-        assert not hasattr(owner, name), (owner, name)
+        if hasattr(object, name):  # a removed special method falls back to object's
+            assert getattr(owner, name) is getattr(object, name), (owner, name)
+        else:
+            assert not hasattr(owner, name), (owner, name)
