@@ -33,7 +33,7 @@ from .current import TruncatedAlgebra
 from .errors import InputError, InvalidAlgebraError, TclaError
 from .figures import render_csv, render_svg, sl3_hyperplanes, virasoro_lines
 from .lie_core import BUILTIN_ALGEBRAS, Algebra, Root, algebra, root_label
-from .rationals import format_rational, parse_rational
+from .rationals import format_rational
 from .shapovalov import determinant, matrix_to_json, shapovalov_matrix
 from .verma import VermaModule
 from .weights import WeightFunctional, check_chi, positive_lattice_points, weight_space_dimension
@@ -81,16 +81,7 @@ def _load_weight(path: str, base: Algebra, nilp: int) -> WeightFunctional:
     levels = doc["levels"]
     if not isinstance(levels, list) or not all(isinstance(l, dict) for l in levels):
         raise InputError(f'"levels" in {path} must be a list of objects')
-    parsed = []
-    for i, level in enumerate(levels):
-        row = {}
-        for name, value in level.items():
-            try:
-                row[name] = parse_rational(str(value))
-            except InputError as exc:
-                raise InputError(f"level {i}, {name}: {exc}") from exc
-        parsed.append(row)
-    return WeightFunctional.from_named(base, nilp, parsed)
+    return WeightFunctional.from_named(base, nilp, levels)
 
 
 def _parse_int(text: str) -> int:
@@ -162,7 +153,7 @@ def _threads() -> int:
     core counts."""
     text = os.environ.get("TCLA_THREADS", "1")
     try:
-        workers = int(text)
+        workers = _parse_int(text)
     except ValueError:
         workers = 0
     if workers < 1:

@@ -79,6 +79,7 @@ from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
 from .errors import InputError, InvalidAlgebraError
+from .rationals import parse_rational
 
 CartanVector = tuple[Fraction, ...]
 
@@ -350,9 +351,9 @@ class MatrixAlgebra(Algebra):
     """An algebra of square matrices, given by the matrix of each basis element.
 
     ``units`` maps every basis element, in basis order, to its matrix as a
-    dict from matrix unit (i, j) to a nonzero entry.  The root catalog, the
-    simple-generator count and the Cartan rank are read off its keys; the
-    Cartan names are "h1", "h2", ...
+    dict from matrix unit (i, j) to a nonzero ``parse_rational`` entry.  The
+    root catalog, the simple-generator count and the Cartan rank are read
+    off its keys; the Cartan names are "h1", "h2", ...
 
     The bracket is the matrix commutator, expanded back over the basis by
     the pivot rule: each element's pivot is its first unit, and in basis
@@ -367,7 +368,7 @@ class MatrixAlgebra(Algebra):
 
     def __init__(self, name: str, units: dict[BaseElement, dict[tuple[int, int], int | Fraction]]) -> None:
         self.name = name
-        self._units = {x: {u: Fraction(e) for u, e in m.items()} for x, m in units.items()}
+        self._units = {x: {u: parse_rational(e) for u, e in m.items()} for x, m in units.items()}
         self._pivots: list[tuple[BaseElement, tuple[int, int]]] = []
         for x, m in self._units.items():
             if any(pivot in m for _, pivot in self._pivots):

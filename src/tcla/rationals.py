@@ -1,8 +1,11 @@
 """Exact rational scalars: parsing and canonical formatting.
 
 Every number in this library is a ``fractions.Fraction``; nothing is ever
-rounded.  The printed form is ``p/q``, or just ``p`` when the denominator
-is one.
+rounded.  ``parse_rational`` is the one rule for a number a caller hands
+in: an int or a ``Fraction`` is taken as it is, text is read as "p" or
+"p/q", and anything else (a float, a bool, a ``Decimal``, decimal or
+exponent text) raises ``InputError``.  The printed form is ``p/q``, or
+just ``p`` when the denominator is one.
 """
 
 from __future__ import annotations
@@ -10,20 +13,23 @@ from __future__ import annotations
 import re
 from decimal import Decimal
 from fractions import Fraction
+from numbers import Rational
 
 from .errors import InputError
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
 
 
-def parse_rational(text: str) -> Fraction:
-    """Parse "p/q" or "p" into an exact Fraction.
+def parse_rational(value: object) -> Fraction:
+    """An int or Fraction as it is, or text "p/q" or "p", as an exact Fraction.
 
-    Decimal and exponent notation are rejected on purpose: inputs are
-    required to be exact.
+    Floats, bools, Decimals and decimal or exponent text are rejected on
+    purpose: inputs are required to be exact.
     """
-    text = text.strip()
-    if not _RATIONAL_RE.match(text):
+    if isinstance(value, Rational) and not isinstance(value, bool):
+        return Fraction(value)
+    text = str(value).strip()
+    if not isinstance(value, str) or not _RATIONAL_RE.match(text):
         raise InputError(f"not an exact rational (expected p or p/q): {text!r}")
     try:
         return Fraction(text)

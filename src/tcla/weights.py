@@ -10,7 +10,6 @@ Verma module.  They do not depend on the highest weight, so each
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import product
 from math import prod
 from typing import Iterable, Sequence
@@ -18,19 +17,21 @@ from typing import Iterable, Sequence
 from .current import CurrentElement, TruncatedAlgebra
 from .errors import InputError
 from .lie_core import Algebra, BaseElement, CartanVector, Root, root_order_key
+from .rationals import parse_rational
 
 Monomial = tuple[CurrentElement, ...]
 
 
 class WeightFunctional:
-    """Functional on the Cartan of a truncated current algebra, stored as
-    one rational vector over the Cartan basis per t-degree 0..N."""
+    """Functional on the Cartan of a truncated current algebra: one vector
+    per t-degree 0..N over the Cartan basis, each value an int, Fraction or
+    "p/q" text read by ``parse_rational`` (a float, bool or Decimal raises)."""
 
     __slots__ = ("levels",)
 
     def __init__(self, levels: Iterable[Sequence]) -> None:
         self.levels: tuple[CartanVector, ...] = tuple(
-            tuple(Fraction(v) for v in level) for level in levels
+            tuple(parse_rational(v) for v in level) for level in levels
         )
         if not self.levels:
             raise InputError("a weight functional needs at least one level")
@@ -54,7 +55,7 @@ class WeightFunctional:
     @classmethod
     def from_named(cls, base: Algebra, nilp: int, level_dicts: Sequence[dict]) -> "WeightFunctional":
         """Build from per-level {cartan_name: rational} dicts; missing names
-        default to zero, unknown names are rejected."""
+        default to zero, unknown names are rejected before any value is read."""
         if len(level_dicts) != nilp + 1:
             raise InputError(f"expected {nilp + 1} levels, got {len(level_dicts)}")
         levels = []
@@ -65,7 +66,10 @@ class WeightFunctional:
                     f"level {i}: unknown Cartan name(s) {sorted(unknown)}; "
                     f"expected among {list(base.cartan_names)}"
                 )
-            levels.append([Fraction(d.get(name, 0)) for name in base.cartan_names])
+            try:
+                levels.append([parse_rational(d.get(name := n, 0)) for n in base.cartan_names])
+            except InputError as exc:
+                raise InputError(f"level {i}, {name}: {exc}") from exc
         return cls(levels)
 
     def __repr__(self) -> str:

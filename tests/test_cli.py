@@ -352,6 +352,17 @@ def test_bad_thread_count_exit_code(monkeypatch, capsys):
     assert_input_error(capsys, code)
 
 
+@pytest.mark.parametrize("text", ["1_0", " 4 "])
+def test_thread_count_is_digits_only(monkeypatch, capsys, text):
+    # int() alone would read "1_0" as 10 and " 4 " as 4; --chi refuses both.
+    monkeypatch.setattr(cli, "cross_validate", lambda *args: pytest.fail("validate ran"))
+    monkeypatch.setenv("TCLA_THREADS", text)
+    code = main(["validate", "--algebra", "sl2", "--nilp", "1", "--samples", "2",
+                 "--seed", "1", "--max-height", "1"])
+    assert code == 3
+    assert capsys.readouterr().err == f"error: TCLA_THREADS must be a positive integer, got {text!r}\n"
+
+
 def test_figure_out_into_missing_directory_exit_code(tmp_path, capsys):
     out = tmp_path / "missing" / "x.csv"
     code = main(["figure", "--which", "sl3", "--format", "csv", "--out", str(out)])

@@ -11,6 +11,7 @@ import pytest
 from helpers import RescaledLowering, evaluate, rand_weight, rat
 from tcla import (
     Algebra,
+    InputError,
     Root,
     TruncatedAlgebra,
     WeightFunctional,
@@ -75,6 +76,18 @@ def test_virasoro_witness_beyond_scan_height():
     scan = scan_reducible(w, alg, 4)
     assert not scan.zero_found
     assert not any(x.height <= 4 for x in verdict.witnesses)
+
+
+def test_virasoro_weight_is_exact_or_refused():
+    # top level (-1/10, 3/10): 6*(-1/10) + 2*(3/10) = 0 at m = 3.  A float
+    # -0.1 is -3602879701896397/2^55, which kills no coroot, so a float
+    # weight would read irreducible where the exact one is reducible.
+    alg = TruncatedAlgebra(algebra("virasoro"), 1)
+    with pytest.raises(InputError, match="not an exact rational"):
+        WeightFunctional([(0, 0), (-0.1, 0.3)])
+    w = WeightFunctional([(0, 0), ("-1/10", "3/10")])
+    assert criterion_reducible(w, alg, 3).witnesses == [Root((3,))]
+    assert scan_reducible(w, alg, 3).zero_chis == [Root((3,))]
 
 
 def test_oscillator_central_test():

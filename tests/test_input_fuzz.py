@@ -1,12 +1,14 @@
-"""Fuzzing the CLI's input parsers in-process: whatever the weight file or
-the --chi text holds, a parser returns its value or raises InputError, the
-error the CLI turns into exit 3.  Parsed chi values are never built into
-matrices here: a large chi is unbounded work."""
+"""Fuzzing the input parsers in-process: whatever the weight file, a weight
+value or the --chi text holds, a parser returns its value or raises
+InputError, the error the CLI turns into exit 3.  Parsed chi values are
+never built into matrices here: a large chi is unbounded work."""
 
 import json
+import re
+from fractions import Fraction
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from tcla import InputError, Root, WeightFunctional, algebra
@@ -64,13 +66,31 @@ def test_load_weight_on_arbitrary_bytes(path, data):
 
 
 @settings(max_examples=300, derandomize=True)
+@given(scalars)
+def test_weight_values_are_exact_or_refused(value):
+    try:
+        weight = WeightFunctional([[value]])
+    except InputError:
+        return
+    assert value is not None and not isinstance(value, (bool, float))
+    assert weight.levels == ((Fraction(value.strip() if isinstance(value, str) else value),),)
+
+
+@settings(max_examples=300, derandomize=True)
 @given(st.text(max_size=16) | st.lists(st.integers(-3, 10**6), max_size=4).map(lambda cs: ",".join(map(str, cs))))
+@example("0")
+@example("0,0")
+@example("0,5")
+@example("7,0")
 def test_parse_chi_on_arbitrary_text(text):
+    # Comma-separated ASCII digits of the right arity are always a chi.
+    well_formed = re.fullmatch(r"[0-9]+(,[0-9]+)*", text)
     for base in (SL2, algebra("sl3"), VIR):
         try:
             chi = _parse_chi(text, base)
         except InputError:
+            assert not (well_formed and text.count(",") + 1 == base.simple_generator_count)
             continue
-        assert isinstance(chi, Root)
+        assert chi == Root(tuple(int(p) for p in text.split(",")))
         assert len(chi.coords) == base.simple_generator_count
         assert all(c >= 0 for c in chi.coords)
