@@ -28,7 +28,6 @@ class LineSet(NamedTuple):
 
     lines: tuple[tuple[str, Normal], ...]
     axes: tuple[str, str]
-    range_halfwidth: Fraction
 
 
 def _check(ls: LineSet) -> None:
@@ -46,7 +45,7 @@ def _loci(base: Algebra, roots: list[Root], axes: tuple[str, str]) -> LineSet:
     lines = tuple(
         (root_label(base, root), tuple(base.coroot(root)[k] for k in order)) for root in roots
     )
-    return LineSet(lines=lines, axes=axes, range_halfwidth=Fraction(10))
+    return LineSet(lines=lines, axes=axes)
 
 
 def sl3_hyperplanes() -> LineSet:
@@ -75,6 +74,7 @@ def render_csv(ls: LineSet) -> str:
 
 _VIEW = 600          # SVG canvas is a fixed 600 x 600 viewBox
 _MARGIN = 10         # frame inset in pixels
+_RANGE = Fraction(10)  # the frame shows the weight box [-10, 10]^2
 
 
 def _px(value: Fraction) -> str:
@@ -88,22 +88,21 @@ def _px(value: Fraction) -> str:
     return f"{sign}{whole}.{frac:03d}".rstrip("0")
 
 
-def _endpoints(normal: Normal, r: Fraction) -> tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]:
-    """Intersection of the line with the box [-r, r]^2."""
+def _endpoints(normal: Normal) -> tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]:
+    """Intersection of the line with the box [-_RANGE, _RANGE]^2."""
     n1, n2 = normal
     dx, dy = -n2, n1
-    t = r / max(abs(dx), abs(dy))
+    t = _RANGE / max(abs(dx), abs(dy))
     return (t * dx, t * dy), (-t * dx, -t * dy)
 
 
 def render_svg(ls: LineSet) -> str:
     _check(ls)
-    r = ls.range_halfwidth
     half = Fraction(_VIEW, 2)
     span = Fraction(_VIEW // 2 - _MARGIN)
 
     def to_px(x: Fraction, y: Fraction) -> tuple[str, str]:
-        return _px(half + x / r * span), _px(half - y / r * span)
+        return _px(half + x / _RANGE * span), _px(half - y / _RANGE * span)
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_VIEW}" height="{_VIEW}" '
@@ -116,7 +115,7 @@ def render_svg(ls: LineSet) -> str:
         f'transform="rotate(-90 10 {_VIEW // 2})">{ls.axes[1]}</text>',
     ]
     for label, normal in ls.lines:
-        (x1, y1), (x2, y2) = _endpoints(normal, r)
+        (x1, y1), (x2, y2) = _endpoints(normal)
         px1, py1 = to_px(x1, y1)
         px2, py2 = to_px(x2, y2)
         lx, ly = to_px(x1 * Fraction(4, 5), y1 * Fraction(4, 5))

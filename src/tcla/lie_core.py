@@ -202,8 +202,10 @@ class Algebra:
     Subclasses fill in the root catalog (``positive_roots``, ``is_root``)
     and the structure constants of basis elements (``_structure``), in a
     basis with [x_alpha, y_alpha] = h_alpha; everything else (validation,
-    the bracket table, coroots, dual raising vectors) is generic.
-    ``coroot_zeros`` is an optional exact solve.
+    the bracket table, coroots, dual raising vectors) is generic.  The
+    bracket table is the only cache, made on first use because subclasses
+    do not call a common ``__init__``.  ``coroot_zeros`` is an optional
+    exact solve.
     """
 
     name: str
@@ -273,20 +275,13 @@ class Algebra:
         """x_alpha, the raising vector that the Shapovalov ascent puts in
         place of y_alpha.
 
-        Cached per instance like ``bracket`` (only valid roots are ever
-        stored): every module over the algebra asks for the same few
-        roots, once per lowering factor it raises along, since
-        ``shapovalov.ascend`` keeps each factor's raising element per
-        module.  A miss reads the coroot, so a root whose
-        bracket has none is refused here too.  Both caches are created on
-        first use because subclasses do not call a common ``__init__``.
+        Reads the coroot on every call, so a root whose bracket has none
+        is refused here too.  ``shapovalov.ascend`` keeps each factor's
+        raising element per module, so a module asks once per lowering
+        factor it raises along.
         """
-        cache = self.__dict__.setdefault("_dual_raising", {})
-        x = cache.get(alpha)
-        if x is None:
-            self.coroot(alpha)
-            x = cache[alpha] = BaseElement.of_root(alpha)
-        return x
+        self.coroot(alpha)
+        return BaseElement.of_root(alpha)
 
     def coroot(self, alpha: Root) -> CartanVector:
         """h_alpha = [x_alpha, y_alpha], as Fraction coordinates over the
@@ -323,11 +318,10 @@ class Algebra:
         return witnesses, bound
 
     def __getstate__(self) -> dict:
-        """Pickle without the bracket and dual-raising caches: the table's
-        read-only views cannot be pickled, and a copy fills its own."""
+        """Pickle without the bracket table: its read-only views cannot be
+        pickled, and a copy fills its own."""
         state = dict(self.__dict__)
         state.pop("_brackets", None)
-        state.pop("_dual_raising", None)
         return state
 
     def __repr__(self) -> str:

@@ -24,12 +24,14 @@ def parse_rational(value: object) -> Fraction:
     """An int or Fraction as it is, or text "p/q" or "p", as an exact Fraction.
 
     Floats, bools, Decimals and decimal or exponent text are rejected on
-    purpose: inputs are required to be exact.
+    purpose: inputs are required to be exact.  The refusal quotes text
+    stripped and any other value by its repr, so ``Decimal('1')`` is not
+    shown as the valid text '1'.
     """
     if isinstance(value, Rational) and not isinstance(value, bool):
         return Fraction(value)
-    text = str(value).strip()
-    if not isinstance(value, str) or not _RATIONAL_RE.match(text):
+    text = value.strip() if isinstance(value, str) else value
+    if not isinstance(text, str) or not _RATIONAL_RE.match(text):
         raise InputError(f"not an exact rational (expected p or p/q): {text!r}")
     try:
         return Fraction(text)

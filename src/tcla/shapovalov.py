@@ -140,33 +140,21 @@ class ShapovalovMatrix(NamedTuple):
         return entries
 
 
-def ascend(module: VermaModule, path: Monomial, v: Terms) -> Terms:
-    """Apply the upward path dual to ``path``.
+def ascend(module: VermaModule, f: CurrentElement, v: Terms) -> Terms:
+    """Raise ``v`` along the dual of the lowering factor ``f``, as a fresh dict.
 
-    The ascent retraces the descent step by step: the descent applies the
-    monomial's rightmost factor first, so the ascent starts from the dual
-    of the leftmost factor and works right, each lowering factor y_alpha
-    replaced by the raising vector x_alpha with [x_alpha, y_alpha] = h_alpha
-    at the same t-degree, so each step is one action.  The composed
-    operator is the image of the monomial under the transpose
-    anti-involution, which is what makes the matrices of the sl(n) and
-    Virasoro built-ins symmetric.
-
-    The matrix builder only ever calls it with a one-factor path (the
-    raise by e_{f0} in the recursion); the full path is the direct
-    definition of an entry, which the tests use as the oracle.  The
-    result is a fresh dict, except that an empty path returns ``v``.
-    Each factor's raising element is built once per module.
+    The lowering factor y_alpha is replaced by the raising vector x_alpha
+    with [x_alpha, y_alpha] = h_alpha at the same t-degree, so the step is
+    one action; each factor's raising element is built once per module.
+    The full ascent along a monomial retraces its descent, leftmost factor
+    first.  The composed operator is the image of the monomial under the
+    transpose anti-involution, which is what makes the matrices of the
+    sl(n) and Virasoro built-ins symmetric.
     """
-    raising = module._raising
-    for f in path:
-        x = raising.get(f)
-        if x is None:
-            x = raising[f] = CurrentElement(module.alg.base.dual_raising(-f.elem.root), f.degree)
-        v = module.act(x, v)
-        if not v:
-            break
-    return v
+    x = module._raising.get(f)
+    if x is None:
+        x = module._raising[f] = CurrentElement(module.alg.base.dual_raising(-f.elem.root), f.degree)
+    return module.act(x, v)
 
 
 def _row_key(mono: Monomial, nilp: int) -> tuple[int, int]:
@@ -223,7 +211,7 @@ def _canonical(module: VermaModule, chi: Root, blocks: bool) -> Canonical:
             row: Row = {}
             for f0, cols in kept.items():
                 _, index, sub = lower[f0]
-                for m, c in ascend(module, (f0,), descent).items():
+                for m, c in ascend(module, f0, descent).items():
                     if c.denominator == 1:
                         c = c.numerator
                     for tail, s in sub[index[m]].items():

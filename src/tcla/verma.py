@@ -4,7 +4,8 @@ Vectors are dicts from PBW monomial to nonzero Fraction (``Terms``), each
 monomial standing for its product applied to the highest-weight vector.
 The action of an arbitrary generator is computed by straightening:
 x . (f0 f1 ... fk) v is rewritten through x f0 = f0 x + [x, f0] until every
-product is a canonically ordered monomial, Cartan generators evaluate
+product is a canonically ordered monomial.  A lowering x that sorts no
+later than f0, or meets v itself, is prepended; Cartan generators evaluate
 through the weight functional on v, and raising generators annihilate v.
 
 Single-monomial actions are memoised, one table per generator, which
@@ -14,8 +15,8 @@ factors: no Cartan generator is ever evaluated, so the result does not
 depend on the highest weight, and its table lives on the
 ``TruncatedAlgebra`` (``_lowering``), shared by every module built on it.
 The tables of Cartan and raising generators read the weight and stay with
-the module, as does the Shapovalov-matrix builder's cache of canonical
-matrices, so both die with it.
+the module, as do the Shapovalov-matrix builder's caches of canonical
+matrices and of raising elements, so all of them die with it.
 """
 
 from __future__ import annotations
@@ -89,16 +90,14 @@ class VermaModule:
 
         root = x.elem.root
         lowers = root is not None and not root.is_positive
-        if not mono:
+        if lowers and (not mono or factor_key(x) <= factor_key(mono[0])):
+            out = {(x,) + mono: _ONE}
+        elif not mono:
             if root is None:
                 lam = self.weight.level(x.degree)[x.elem.index]
                 out = {(): lam} if lam else {}
-            elif root.is_positive:
-                out = {}
             else:
-                out = {(x,): _ONE}
-        elif lowers and factor_key(x) <= factor_key(mono[0]):
-            out = {(x,) + mono: _ONE}
+                out = {}
         else:
             # x f0 rest = f0 (x rest) + [x, f0] rest
             f0, rest = mono[0], mono[1:]

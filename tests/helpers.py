@@ -17,6 +17,7 @@ from tcla import (
     VermaModule,
     WeightFunctional,
     algebra,
+    ascend,
     enumerate_monomials,
     linalg,
     shapovalov_matrix,
@@ -315,6 +316,14 @@ def reorder(matrix: ShapovalovMatrix, monomials: list) -> ShapovalovMatrix:
     position = {b: k for k, b in enumerate(order)}
     rows = [{position[b]: s for b, s in matrix.rows[a].items()} for a in order]
     return ShapovalovMatrix(chi=matrix.chi, monomials=list(monomials), rows=rows)
+
+
+def ascend_path(module: VermaModule, path: Monomial, v: dict) -> dict:
+    """The full ascent dual to ``path``: ``ascend`` along each factor,
+    leftmost first, which retraces the descent along ``path``."""
+    for f in path:
+        v = ascend(module, f, v)
+    return v
 
 
 def evaluate(weight: WeightFunctional, h, degree: int) -> Fraction:

@@ -65,19 +65,20 @@ CASES = {
     "samples": (lambda: cross_validate(SL2, 1, samples=0, seed=1), r"^samples must be >= 1$"),
     "m_max": (lambda: virasoro_lines(0), r"^m_max must be >= 1$"),
     "rational": (lambda: parse_rational("0.5"), r"^not an exact rational \(expected p or p/q\): '0\.5'$"),
-    "float value": (lambda: WeightFunctional([(0.5,)]), r"^not an exact rational \(expected p or p/q\): '0\.5'$"),
-    "bool value": (lambda: WeightFunctional([(True,)]), r"^not an exact rational \(expected p or p/q\): 'True'$"),
+    "float value": (lambda: WeightFunctional([(0.5,)]), r"^not an exact rational \(expected p or p/q\): 0\.5$"),
+    "bool value": (lambda: WeightFunctional([(True,)]), r"^not an exact rational \(expected p or p/q\): True$"),
     "Decimal value": (
-        lambda: WeightFunctional([(Decimal("1.5"),)]),
-        r"^not an exact rational \(expected p or p/q\): '1\.5'$",
+        lambda: WeightFunctional([(Decimal("1"),)]),
+        r"^not an exact rational \(expected p or p/q\): Decimal\('1'\)$",
     ),
+    "None value": (lambda: WeightFunctional([(None,)]), r"^not an exact rational \(expected p or p/q\): None$"),
     "named value": (
         lambda: WeightFunctional.from_named(VIR, 1, [{"L0": "0.5"}, {}]),
         r"^level 0, L0: not an exact rational",
     ),
     "matrix entry": (
         lambda: MatrixAlgebra("float-h", {BaseElement.cartan(0): {(0, 0): 0.5, (1, 1): -0.5}}),
-        r"^not an exact rational \(expected p or p/q\): '0\.5'$",
+        r"^not an exact rational \(expected p or p/q\): 0\.5$",
     ),
     "sl(n)": (lambda: SpecialLinear(1), r"^sl\(n\) needs n >= 2$"),
 }

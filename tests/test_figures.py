@@ -8,6 +8,7 @@ import pytest
 
 from helpers import rand_weight
 from tcla import (
+    LineSet,
     Root,
     TruncatedAlgebra,
     WeightFunctional,
@@ -110,6 +111,11 @@ def test_csv_content():
     assert rows[0] == "label,n1,n2"
     assert len(rows) == 5
     assert rows[2] == "m=2,1/2,4"
+
+
+def test_a_line_set_holds_only_its_lines_and_axes():
+    # The plotted range is the renderer's constant, not a per-figure field.
+    assert LineSet._fields == ("lines", "axes")
 
 
 def test_renderers_refuse_duplicate_labels_and_zero_normals():

@@ -7,6 +7,7 @@ import pytest
 from helpers import (
     RescaledLowering,
     any_algebra,
+    ascend_path,
     determinant_at,
     determinant_law,
     evaluate,
@@ -15,6 +16,7 @@ from helpers import (
     rand_generator,
     rand_vector,
     rand_weight,
+    raising,
     reorder,
 )
 from tcla import (
@@ -48,9 +50,23 @@ def test_ascend_examples():
     m = sl2_module()
     f0, f1 = lowering(ALPHA, 0), lowering(ALPHA, 1)
     v = m.descend((f0,))
-    assert ascend(m, (f0,), v) == {(): 5}
-    assert ascend(m, (f1,), v) == {(): 3}
-    assert ascend(m, (), v) == v
+    assert ascend(m, f0, v) == {(): 5}
+    assert ascend(m, f1, v) == {(): 3}
+
+
+@pytest.mark.parametrize("name", (*BUILTIN_ALGEBRAS, "sp4", "g2", "rescaled-sl3"))
+def test_ascend_is_one_raising_action(name):
+    # Along the lowering factor y_alpha at t-degree d, ascend acts with the
+    # raising basis vector x_alpha at t-degree d, into a fresh dict.
+    rng = random.Random(f"ascend:{name}")
+    base = blocks_algebra(name)
+    m = VermaModule(TruncatedAlgebra(base, 2), rand_weight(rng, base, 2))
+    roots = base.positive_roots(2)
+    for _ in range(20):
+        alpha, degree = rng.choice(roots), rng.randint(0, 2)
+        v = rand_vector(rng, m)
+        out = ascend(m, lowering(alpha, degree), v)
+        assert out == m.act(raising(alpha, degree), v) and out is not v
 
 
 def test_sl2_hand_oracle_matrix():
@@ -193,7 +209,7 @@ def test_degenerate_matrix_has_vanishing_kernel_vector():
     w = lin_sum(*((u[i], m.descend(mono)) for i, mono in enumerate(mat.monomials)))
     assert w
     for mono in mat.monomials:
-        assert ascend(m, mono, w).get((), 0) == 0
+        assert ascend_path(m, mono, w).get((), 0) == 0
 
 
 def test_matrix_json_schema():
@@ -211,7 +227,7 @@ def test_matrix_json_schema():
 def direct_matrix(m, chi, monos=None):
     # One full ascent per entry: the definition the recursive builder must match.
     monos = enumerate_monomials(chi, m.alg) if monos is None else monos
-    return [[ascend(m, col, m.descend(row)).get((), 0) for col in monos] for row in monos]
+    return [[ascend_path(m, col, m.descend(row)).get((), 0) for col in monos] for row in monos]
 
 
 def top_zero(rng, base, nilp):
